@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 UNIT_TOL = 1e-12
 CLOSE_TOL = 1e-9
@@ -155,21 +154,13 @@ def psi_from_omega(omega: float) -> float:
 def theta_for_psi(psi: float) -> float:
     """Base angle in [pi/4, pi/2] realizing a requested relative rotation.
 
-    On this branch psi decreases monotonically from pi (at theta = pi/4)
-    to 0, matching the stage sequence theta = pi/4, 3*pi/8, 7*pi/16, ...
-    for psi = pi, pi/2, pi/4, ...  Solved by bracketed root finding to
-    machine tolerance.
+    On this branch omega = pi - 2*theta and psi = 2*omega, so
+    theta = pi/2 - psi/4 exactly: psi = pi, pi/2, pi/4, ... gives the stage
+    sequence theta = pi/4, 3*pi/8, 7*pi/16, ...
     """
     if not 0.0 < psi <= math.pi:
         raise ValueError("psi must lie in (0, pi]")
-
-    def f(theta):
-        return psi_from_omega(omega_from_theta(theta)) - psi
-
-    lo, hi = math.pi / 4, math.pi / 2
-    if abs(f(lo)) < 1e-15:
-        return lo
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return math.pi / 2 - psi / 4
 
 
 @dataclass(frozen=True)

@@ -232,9 +232,10 @@ def parse_network(text: str) -> CascadeNode:
             continue
         parts = line.split()
         if parts[0] == "tree":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'tree <depth>'")
-            tree_depth = int(parts[1])
+            try:
+                (tree_depth,) = (int(v) for v in parts[1:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected 'tree <depth>'") from None
         elif parts[0] == "stage":
             if len(parts) != 4:
                 raise ValueError(
@@ -353,7 +354,7 @@ class FaradayRotator:
     angle: float
     field_sign: int = 1
 
-    def matrix(self, direction: str = "forward") -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         return rotation2(self.angle * self.field_sign)
 
 
@@ -373,7 +374,7 @@ class Waveplate:
     def from_retardance(cls, retardance: float, axis_angle: float) -> "Waveplate":
         return cls(axis_angle=axis_angle, phase_axis=retardance)
 
-    def matrix(self, direction: str = "forward") -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         u = np.array([math.cos(self.axis_angle), math.sin(self.axis_angle)])
         proj = np.outer(u, u)
         perp = np.eye(2) - proj
@@ -429,9 +430,7 @@ def phase_device(
     if direction == "forward":
         chain = fg_out.matrix() @ wp.matrix() @ fg_in.matrix()
     else:
-        chain = fg_in.matrix("backward") @ wp.matrix("backward") @ fg_out.matrix(
-            "backward"
-        )
+        chain = fg_in.matrix() @ wp.matrix() @ fg_out.matrix()
     out = chain @ vec
     phase = cmath.phase(out[1] / vec[1])
     result = JonesVector(complex(out[0]), complex(out[1]))
@@ -475,6 +474,6 @@ def faraday_isolator(pol: JonesVector, direction: str) -> IsolatorResult:
         out, defl2 = pbs2.split(JonesVector(rotated[0], rotated[1]))
         return IsolatorResult(out, defl1, defl2)
     into, defl2 = pbs2.split(pol)
-    rotated = fg.matrix("backward") @ into.as_array()
+    rotated = fg.matrix() @ into.as_array()
     out, defl1 = pbs1.split(JonesVector(rotated[0], rotated[1]))
     return IsolatorResult(out, defl1, defl2)

@@ -241,9 +241,10 @@ def test_criterion_9_numerics_hygiene():
         by_order = {}
         for idx, c in out.terms.items():
             by_order[idx.order] = by_order.get(idx.order, 0.0) + abs(c) ** 2
-        worst_order = max(worst_order, abs(by_order.get(order, 0.0) - 1.0))
         worst_order = max(
-            (v for k, v in by_order.items() if k != order), default=worst_order
+            worst_order,
+            abs(by_order.get(order, 0.0) - 1.0),
+            *(v for k, v in by_order.items() if k != order),
         )
     assert worst_order < 1e-5
     print(

@@ -128,6 +128,32 @@ def test_sort_fiber_demo(tmp_path, capsys):
     assert "port B power 0.150000" in out
 
 
+def test_sort_high_order_conserves_power(tmp_path, capsys):
+    # Reference split from the OAM weights of HG_85,85 (independent numpy
+    # computation); the port powers must also sum to one.
+    code, out, _ = run(
+        capsys, "--out-dir", str(tmp_path), "sort", "hg:85,85", "--theta", "1.0"
+    )
+    assert code == 0
+    assert "port A power 0.503535" in out
+    assert "port B power 0.496465" in out
+    pa, pb = (float(line.split()[-1]) for line in out.splitlines())
+    assert pa + pb == pytest.approx(1.0, abs=2e-6)
+
+
+def test_sort_lg_spec_independent_of_grid_size(tmp_path, capsys):
+    reports = []
+    for size in ("32", "128", "1024"):
+        code, out, _ = run(
+            capsys, "--out-dir", str(tmp_path / size), "--grid-size", size,
+            "sort", "lg:2,3", "--theta", "1.0",
+        )
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == "port A power 0.921927\nport B power 0.078073\n"
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_sort_expansion_file_input(tmp_path, capsys):
     src = tmp_path / "state.hgx"
     src.write_text("hg-expansion v1 w0=1\n1 0 0.70710678 0\n0 1 0.70710678 0\n")
@@ -291,12 +317,22 @@ def test_cascade_network_file(tmp_path, capsys):
 
 def test_cascade_bad_network_exits_3(tmp_path, capsys):
     net = tmp_path / "net.txt"
-    net.write_text("nonsense\n")
-    code, _, err = run(
-        capsys, "--out-dir", str(tmp_path), "cascade", "--network", str(net)
-    )
-    assert code == 3
-    assert "line 1" in err
+    for text in ("nonsense\n", "tree x\n"):
+        net.write_text(text)
+        code, _, err = run(
+            capsys, "--out-dir", str(tmp_path), "cascade", "--network", str(net)
+        )
+        assert code == 3
+        assert "line 1" in err
+    assert "expected 'tree <depth>'" in err
+
+
+def test_cascade_bad_l_list_exits_2(tmp_path, capsys):
+    cases = (("--l=a..b", "a..b"), ("--l=1..2..3", "1..2..3"), ("--l=1,x", "x"))
+    for arg, chunk in cases:
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "cascade", arg)
+        assert code == 2
+        assert f"usage error: bad l list entry '{chunk}'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
 
 from sagnacsim import modes as M
 
@@ -41,11 +40,14 @@ def test_h1_vanishes_on_its_node():
 
 
 def test_hg00_unit_power_by_quadrature():
-    val, err = dblquad(
-        lambda y, x: M.hg_field_at(M.HGIndex(0, 0), x, y, GEOM) ** 2,
-        -8.0, 8.0, -8.0, 8.0, epsabs=1e-10,
-    )
-    assert err < 1e-8
+    # Gauss-Hermite product rule in u = sqrt(2) x / w0, where the HG00 power
+    # density is a constant times exp(-u^2 - v^2), so the rule is exact.
+    nodes, weights = np.polynomial.hermite.hermgauss(20)
+    u, v = np.meshgrid(nodes, nodes)
+    x, y = u / math.sqrt(2.0), v / math.sqrt(2.0)
+    density = M.hg_field_at(M.HGIndex(0, 0), x, y, GEOM) ** 2
+    weight = np.outer(weights, weights) * np.exp(u**2 + v**2)
+    val = float(np.sum(weight * density)) / 2.0
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -97,11 +99,41 @@ def test_lg_orthogonality():
     assert abs(plus.inner(minus)) < 1e-15
 
 
-def test_lg_to_hg_rejects_higher_order():
-    with pytest.raises(ValueError, match="first order"):
-        M.lg_to_hg(M.LGIndex(1, 1), GEOM)
-    with pytest.raises(ValueError, match="first order"):
-        M.lg_to_hg(M.LGIndex(0, 2), GEOM)
+def test_lg_to_hg_rejects_out_of_range():
+    with pytest.raises(ValueError, match="nonnegative"):
+        M.lg_to_hg(M.LGIndex(-1, 1), GEOM)
+    with pytest.raises(ValueError, match="order too large"):
+        M.lg_to_hg(M.LGIndex(0, 171), GEOM)
+    with pytest.raises(ValueError, match="order too large"):
+        M.lg_to_hg(M.LGIndex(85, -1), GEOM)
+
+
+def lg_polar_field(p, l, x, y):
+    """LG_p^l at the waist (w0 = 1) from its polar closed form, with the
+    generalized Laguerre polynomial L_p^|l|(t) summed term by term."""
+    a = abs(l)
+    t = 2.0 * (x**2 + y**2)
+    laguerre = sum(
+        (-1) ** k * math.comb(p + a, p - k) * t**k / math.factorial(k)
+        for k in range(p + 1)
+    )
+    norm = math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + a)))
+    radial = norm * t ** (a / 2) * laguerre * np.exp(-t / 2)
+    return radial * np.exp(1j * l * np.arctan2(y, x))
+
+
+def test_lg_to_hg_matches_polar_field():
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-2.5, 2.5, size=(2, 200))
+    for p, l in ((0, 1), (0, -2), (1, 0), (1, 1), (1, -1), (2, 3), (3, 1), (2, -4)):
+        e = M.lg_to_hg(M.LGIndex(p, l), GEOM)
+        assert e.norm_sq() == pytest.approx(1.0, abs=1e-14)
+        got = M.evaluate_expansion(e, x, y)
+        assert np.max(np.abs(got - lg_polar_field(p, l, x, y))) < 1e-12
+    # p = 0 against the binomial synthesis, phases included, to high order
+    for l in (5, -12, 40, -40):
+        e = M.lg_to_hg(M.LGIndex(0, l), GEOM)
+        assert coeff_distance(e, lg_zero_radial_exact(l)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +270,16 @@ def test_rotate_hg10_quarter_turn():
 def test_rotate_hg11_quarter_turn_self_similar():
     e = single(1, 1)
     out = M.rotate_expansion(e, math.pi / 2)
-    assert abs(e.inner(out)) == pytest.approx(1.0, abs=1e-6)
+    assert abs(e.inner(out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotation_matrix_unitary():
-    for order in range(7):
+    for order in range(M.MAX_ORDER + 1):
         for angle in (0.3, 1.1, math.pi / 2, -2.0):
             d = M.rotation_matrix(order, angle)
-            assert np.allclose(d.T @ d, np.eye(order + 1), atol=1e-13)
+            assert np.max(np.abs(d.T @ d - np.eye(order + 1))) <= 1e-12
+    with pytest.raises(ValueError, match="order too large"):
+        M.rotation_matrix(M.MAX_ORDER + 1, 0.3)
 
 
 def test_rotation_matrix_first_order_form():
@@ -259,10 +293,10 @@ def test_rotation_matrix_first_order_form():
 
 def test_lg_eigenvectors_of_rotation():
     ang = 1.234
-    for l in (1, -1):
-        e = M.lg_to_hg(M.LGIndex(0, l), GEOM)
+    for p, l in ((0, 1), (0, -1), (2, 3), (20, -7), (85, 0), (0, 170)):
+        e = M.lg_to_hg(M.LGIndex(p, l), GEOM)
         out = M.rotate_exact(e, ang)
-        expected = M.oam_phase(M.LGIndex(0, l), ang)
+        expected = M.oam_phase(M.LGIndex(p, l), ang)
         for idx in e.terms:
             assert out.coeff(idx) == pytest.approx(e.coeff(idx) * expected, abs=1e-14)
 
@@ -276,7 +310,7 @@ def test_rotation_unitarity_grid_path():
             {M.HGIndex(n, order - n): vec[n] for n in range(order + 1)}, GEOM
         )
         for ang in (0.5, 2.0):
-            out = M.rotate_expansion(e, ang)
+            out, _ = M.rotate_grid(e, ang)
             assert math.sqrt(out.norm_sq()) == pytest.approx(
                 math.sqrt(e.norm_sq()), abs=1e-6
             )
@@ -332,15 +366,15 @@ def test_rotation_composition_exact_path():
 def test_rotation_propagates_under_resolved_grid():
     e = M.ModeExpansion({M.HGIndex(5, 5): 1.0}, GEOM)
     with pytest.raises(ValueError, match="under-resolved"):
-        M.rotate_expansion(e, 0.4, spec=M.GridSpec(8.0, 16))
+        M.rotate_grid(e, 0.4, spec=M.GridSpec(8.0, 16))
 
 
 def test_rotation_composition_grid_path():
     # Bilinear resampling limits coefficient accuracy at order >= 2; the
     # measured composition defect on the default grid is a few 1e-4.
     e = M.ModeExpansion({M.HGIndex(2, 0): 1.0}, GEOM)
-    lhs = M.rotate_expansion(M.rotate_expansion(e, 0.4), 0.9)
-    rhs = M.rotate_expansion(e, 1.3)
+    lhs = M.rotate_grid(M.rotate_grid(e, 0.4)[0], 0.9)[0]
+    rhs = M.rotate_grid(e, 1.3)[0]
     assert coeff_distance(lhs, rhs) < 5e-3
 
 

@@ -3,7 +3,12 @@ biphoton sorting, compressors, heralding, and entanglement diagnostics.
 
 All states live in the post-selected two-photon subspace; probabilities
 are conditional on a pair being present.  The spatial part of a biphoton
-is a complex coefficient map over ordered HG index pairs, and the
+is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
+``(o1 + 1, o2 + 1)`` and entry ``[n1, n2]`` multiplies HG_{n1, o1-n1} x
+HG_{n2, o2-n2}; only blocks holding a nonzero term are kept.  Sorting is
+P1 C P2^T per block, heralding reads one row, the compressor is the same
+product with its order-one unitary, and the Schmidt spectrum is an SVD
+over the rows and columns that carry support, at any order.  The
 two-photon polarization is carried alongside as amplitudes over
 {HV, VH, HH, VV}.
 
@@ -18,17 +23,21 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import IO
 
 import numpy as np
 
 from .interferometer import SagnacStage
 from .modes import (
+    MAX_ORDER,
     BeamGeometry,
     HGIndex,
     LGIndex,
     ModeExpansion,
+    _check_index,
     rotation_matrix,
 )
 
@@ -40,8 +49,6 @@ def bell_polarization() -> dict[str, complex]:
     return {"HV": inv, "VH": inv}
 
 
-FIRST_ORDER_SPAN = (HGIndex(0, 0), HGIndex(1, 0), HGIndex(0, 1))
-
 # Pump-expansion coefficients for a fundamental-mode pump under typical
 # conditions (0.1 mm pump waist, 1 mm crystal); overridable per call.
 DEFAULT_C0 = 0.08
@@ -52,31 +59,61 @@ DEFAULT_GEOMETRY = BeamGeometry(1.0)
 
 
 class BiphotonExpansion:
-    """Finite expansion over ordered HG x HG products plus polarization."""
+    """Finite expansion over ordered HG x HG products plus polarization.
 
-    __slots__ = ("terms", "polarization", "geometry")
+    ``blocks`` maps ``(o1, o2)`` to a read-only coefficient block (layout in
+    the module docstring); ``terms`` is derived from it.
+    """
+
+    __slots__ = ("blocks", "polarization", "geometry")
 
     def __init__(self, terms, polarization=None, geometry: BeamGeometry = DEFAULT_GEOMETRY):
-        clean: dict[tuple[HGIndex, HGIndex], complex] = {}
+        self.blocks = {}
         for (a, b), amp in dict(terms).items():
-            key = (HGIndex(*a), HGIndex(*b))
-            amp = complex(amp)
+            # Validated before anything is allocated for it: a block is at
+            # most (MAX_ORDER + 1) x (MAX_ORDER + 1).
+            a, b, amp = _check_index(a), _check_index(b), complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValueError(f"non-finite amplitude for {key}")
-            clean[key] = amp
+                raise ValueError(f"non-finite amplitude for {(a, b)}")
+            if amp != 0:
+                if (a.order, b.order) not in self.blocks:
+                    self.blocks[a.order, b.order] = np.zeros((a.order + 1, b.order + 1), complex)
+                self.blocks[a.order, b.order][a.n, b.n] = amp
+        for block in self.blocks.values():
+            block.setflags(write=False)
         pol = dict(polarization) if polarization is not None else bell_polarization()
         for k in pol:
             if k not in POLARIZATION_KEYS:
                 raise ValueError(f"unknown polarization component '{k}'")
-        self.terms = clean
         self.polarization = {k: complex(v) for k, v in pol.items()}
         self.geometry = geometry
 
+    def _with_blocks(self, blocks) -> "BiphotonExpansion":
+        """This state's polarization and geometry with the nonzero ``blocks``."""
+        out = BiphotonExpansion({}, self.polarization, self.geometry)
+        out.blocks = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
+        for block in out.blocks.values():
+            block.setflags(write=False)
+        return out
+
+    @property
+    def terms(self) -> Mapping[tuple[HGIndex, HGIndex], complex]:
+        """Read-only mapping of the nonzero coefficients."""
+        return MappingProxyType({
+            (HGIndex(n1, o1 - n1), HGIndex(n2, o2 - n2)): complex(block[n1, n2])
+            for (o1, o2), block in self.blocks.items()
+            for n1, n2 in np.argwhere(block).tolist()
+        })
+
     def coeff(self, a, b) -> complex:
-        return self.terms.get((HGIndex(*a), HGIndex(*b)), 0j)
+        a, b = HGIndex(*a), HGIndex(*b)
+        block = self.blocks.get((a.order, b.order))
+        if block is None or min(a.n, a.m, b.n, b.m) < 0:
+            return 0j
+        return complex(block[a.n, b.n])
 
     def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.terms.values()))
+        return float(sum(np.vdot(block, block).real for block in self.blocks.values()))
 
     def normalized(self) -> "BiphotonExpansion":
         n = math.sqrt(self.norm_sq())
@@ -85,22 +122,18 @@ class BiphotonExpansion:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "BiphotonExpansion":
-        return BiphotonExpansion(
-            {k: v * factor for k, v in self.terms.items()},
-            self.polarization,
-            self.geometry,
-        )
+        return self._with_blocks({k: v * factor for k, v in self.blocks.items()})
 
     def pruned(self, tol: float = 0.0) -> "BiphotonExpansion":
-        return BiphotonExpansion(
-            {k: v for k, v in self.terms.items() if abs(v) > tol},
-            self.polarization,
-            self.geometry,
+        return self._with_blocks(
+            {k: np.where(np.abs(v) > tol, v, 0j) for k, v in self.blocks.items()}
         )
 
     def is_exchange_symmetric(self, tol: float = 1e-12) -> bool:
-        for (a, b), amp in self.terms.items():
-            if abs(self.terms.get((b, a), 0j) - amp) > tol:
+        for (o1, o2), block in self.blocks.items():
+            mirror = self.blocks.get((o2, o1))
+            diff = block if mirror is None else block - mirror.T
+            if np.max(np.abs(diff)) > tol:
                 return False
         return True
 
@@ -192,11 +225,12 @@ def load_biphoton_table(
             raise ValueError(f"line {lineno}: {exc}") from None
         if min(j, k, s, t) < 0:
             raise ValueError(f"line {lineno}: negative mode index")
+        if max(j + k, s + t) > MAX_ORDER:
+            raise ValueError(f"line {lineno}: order too large (max {MAX_ORDER})")
         key = (HGIndex(j, k), HGIndex(s, t))
         terms[key] = terms.get(key, 0j) + complex(re_part, im_part)
     if not any_content:
         warnings.warn("biphoton table file is empty", stacklevel=2)
-        return BiphotonExpansion({}, bell_polarization(), geometry)
     return BiphotonExpansion(terms, bell_polarization(), geometry)
 
 
@@ -288,7 +322,7 @@ def fiber_filter_single(
     Returns the projected expansion and the transmitted power fraction.
     A zero projection is flagged with a warning, not an error.
     """
-    kept = {i: c for i, c in expansion.terms.items() if i in FIRST_ORDER_SPAN}
+    kept = {i: c for i, c in expansion.terms.items() if i.order <= 1}
     out = ModeExpansion(kept, expansion.geometry)
     total = expansion.norm_sq()
     fraction = out.norm_sq() / total if total > 0 else 0.0
@@ -306,12 +340,7 @@ def fiber_filter_biphoton(b: BiphotonExpansion) -> tuple[BiphotonExpansion, floa
     (kept power over total power).
     """
     total = b.norm_sq()
-    kept = {
-        key: c
-        for key, c in b.terms.items()
-        if key[0] in FIRST_ORDER_SPAN and key[1] in FIRST_ORDER_SPAN
-    }
-    out = BiphotonExpansion(kept, b.polarization, b.geometry)
+    out = b._with_blocks({key: block for key, block in b.blocks.items() if max(key) <= 1})
     if out.norm_sq() == 0.0:
         raise ValueError("state fully rejected")
     probability = out.norm_sq() / total
@@ -322,32 +351,21 @@ def fiber_filter_biphoton(b: BiphotonExpansion) -> tuple[BiphotonExpansion, floa
 # Biphoton sorting and heralding
 # ---------------------------------------------------------------------------
 
-def _frame_port_maps(stage: SagnacStage, max_order: int):
-    """Single-photon port operators in the output-beam frame.
+def _frame_port_maps(stage: SagnacStage, orders) -> dict[int, np.ndarray]:
+    """Single-photon port operators in the output-beam frame, per total order.
 
     Factoring the common R(Omega) out of both ports leaves
     A = (1 + e^{i phi} R(-2 Omega))/2 and B = (1 - e^{i phi} R(-2 Omega))/2,
-    evaluated per total order with the exact rotation matrices.
+    evaluated with the exact rotation matrices.  Each value stacks (A, B)
+    along its first axis.
     """
     phase = cmath.exp(1j * stage.phi)
-    maps_a: dict[int, np.ndarray] = {}
-    maps_b: dict[int, np.ndarray] = {}
-    for order in range(max_order + 1):
-        back = rotation_matrix(order, -2.0 * stage.omega).astype(complex)
-        eye = np.eye(order + 1, dtype=complex)
-        maps_a[order] = 0.5 * (eye + phase * back)
-        maps_b[order] = 0.5 * (eye - phase * back)
-    return maps_a, maps_b
-
-
-def _apply_map(maps: dict[int, np.ndarray], idx: HGIndex) -> dict[HGIndex, complex]:
-    mat = maps[idx.order]
-    col = mat[:, idx.n]
-    out = {}
-    for n in range(idx.order + 1):
-        if col[n] != 0:
-            out[HGIndex(n, idx.order - n)] = complex(col[n])
-    return out
+    maps = {}
+    for order in orders:
+        back = phase * rotation_matrix(order, -2.0 * stage.omega)
+        eye = np.eye(order + 1)
+        maps[order] = np.stack((0.5 * (eye + back), 0.5 * (eye - back)))
+    return maps
 
 
 @dataclass
@@ -383,32 +401,21 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
     total = b.norm_sq()
     if total == 0.0:
         raise ValueError("zero biphoton state")
-    max_order = max(
-        (max(a.order, pb.order) for a, pb in b.terms), default=0
-    )
-    maps_a, maps_b = _frame_port_maps(stage, max_order)
-    accumulators: dict[str, dict[tuple[HGIndex, HGIndex], complex]] = {
-        "AA": {}, "AB": {}, "BA": {}, "BB": {}
+    maps = _frame_port_maps(stage, sorted({order for key in b.blocks for order in key}))
+    # sorted_blocks[(o1, o2)][i, j] = P_i C P_j^T for ports i, j in (A, B).
+    sorted_blocks = {
+        (o1, o2): maps[o1][:, None] @ block @ maps[o2].transpose(0, 2, 1)[None]
+        for (o1, o2), block in b.blocks.items()
     }
-    for (ia, ib), amp in b.terms.items():
-        outs1 = {"A": _apply_map(maps_a, ia), "B": _apply_map(maps_b, ia)}
-        outs2 = {"A": _apply_map(maps_a, ib), "B": _apply_map(maps_b, ib)}
-        for p1 in ("A", "B"):
-            for p2 in ("A", "B"):
-                acc = accumulators[p1 + p2]
-                for j1, c1 in outs1[p1].items():
-                    for j2, c2 in outs2[p2].items():
-                        key = (j1, j2)
-                        acc[key] = acc.get(key, 0j) + amp * c1 * c2
     branches = {}
-    for name, acc in accumulators.items():
-        state = BiphotonExpansion(acc, b.polarization, b.geometry).pruned(1e-300)
-        power = state.norm_sq()
-        prob = power / total
-        branches[name] = SortedBranch(
-            probability=prob,
-            state=state.normalized() if power > 0 else None,
-        )
+    for i, p1 in enumerate("AB"):
+        for j, p2 in enumerate("AB"):
+            state = b._with_blocks({key: out[i, j] for key, out in sorted_blocks.items()})
+            power = state.norm_sq()
+            branches[p1 + p2] = SortedBranch(
+                probability=power / total,
+                state=state.normalized() if power > 0 else None,
+            )
     return BiphotonSortResult(branches)
 
 
@@ -439,19 +446,6 @@ class CompressorSpec:
 COMPRESS_Y_QUARTER = CompressorSpec(axis_angle=math.pi / 2, retardance=math.pi / 2)
 
 
-def _compress_index(idx: HGIndex, mat: np.ndarray) -> dict[HGIndex, complex]:
-    if idx.order == 0:
-        return {idx: 1.0 + 0j}
-    if idx.order != 1:
-        raise ValueError("compressor model limited to first order")
-    src = 0 if idx.n == 1 else 1  # matrix basis is (c_10, c_01)
-    out = {
-        HGIndex(1, 0): complex(mat[0, src]),
-        HGIndex(0, 1): complex(mat[1, src]),
-    }
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def compressor_apply(state, spec: CompressorSpec):
     """Apply a compressor to a single- or two-photon state.
 
@@ -460,19 +454,19 @@ def compressor_apply(state, spec: CompressorSpec):
     """
     mat = spec.matrix()
     if isinstance(state, ModeExpansion):
-        out: dict[HGIndex, complex] = {}
-        for idx, amp in state.terms.items():
-            for jdx, c in _compress_index(idx, mat).items():
-                out[jdx] = out.get(jdx, 0j) + amp * c
+        if state.max_order() > 1:
+            raise ValueError("compressor model limited to first order")
+        c10, c01 = (mat @ [state.coeff((1, 0)), state.coeff((0, 1))]).tolist()
+        out = {HGIndex(0, 0): state.coeff((0, 0)), HGIndex(1, 0): c10, HGIndex(0, 1): c01}
         return ModeExpansion(out, state.geometry).pruned(1e-300)
     if isinstance(state, BiphotonExpansion):
-        acc: dict[tuple[HGIndex, HGIndex], complex] = {}
-        for (ia, ib), amp in state.terms.items():
-            for ja, ca in _compress_index(ia, mat).items():
-                for jb, cb in _compress_index(ib, mat).items():
-                    key = (ja, jb)
-                    acc[key] = acc.get(key, 0j) + amp * ca * cb
-        return BiphotonExpansion(acc, state.polarization, state.geometry).pruned(1e-300)
+        if any(max(key) > 1 for key in state.blocks):
+            raise ValueError("compressor model limited to first order")
+        # Block order is n = 0..order, so the order-one block is (c_01, c_10).
+        ops = {0: np.ones((1, 1)), 1: mat[::-1, ::-1]}
+        return state._with_blocks(
+            {(o1, o2): ops[o1] @ block @ ops[o2].T for (o1, o2), block in state.blocks.items()}
+        )
     raise TypeError("state must be a ModeExpansion or BiphotonExpansion")
 
 
@@ -502,11 +496,12 @@ def herald(
     branch = sort_result.branches[trigger_port + other]
     if branch.probability <= 0.0 or branch.state is None:
         raise ValueError("zero-probability trigger")
-    trig = HGIndex(*trigger_mode)
-    partner: dict[HGIndex, complex] = {}
-    for (ia, ib), amp in branch.state.terms.items():
-        if ia == trig:
-            partner[ib] = partner.get(ib, 0j) + amp
+    trig = _check_index(trigger_mode)
+    partner = {
+        HGIndex(n2, o2 - n2): amp
+        for (o1, o2), block in branch.state.blocks.items() if o1 == trig.order
+        for n2, amp in enumerate(block[trig.n].tolist()) if amp != 0
+    }
     state = ModeExpansion(partner, branch.state.geometry)
     power = state.norm_sq()
     if power == 0.0:
@@ -523,24 +518,28 @@ def herald(
 # ---------------------------------------------------------------------------
 
 def schmidt_coefficients(b: BiphotonExpansion) -> list[float]:
-    """Schmidt spectrum of a first-order x first-order biphoton state.
+    """Schmidt spectrum of a biphoton state at any order.
 
-    Singular values of the 2x2 coefficient matrix over (HG10, HG01) for
-    each photon, normalized to unit sum of squares; sorted descending.
-    States with support outside that span are rejected.
+    Singular values of the photon-1 x photon-2 coefficient matrix over the
+    occupied order blocks, normalized to unit sum of squares and sorted
+    descending; one value per dimension of the smaller side (two for a
+    first-order x first-order state).  The SVD runs only over the rows and
+    columns that carry support, so memory follows the support, not the
+    orders; the all-zero rest contributes the trailing zeros.
     """
-    basis = (HGIndex(1, 0), HGIndex(0, 1))
-    mat = np.zeros((2, 2), dtype=complex)
-    for (ia, ib), amp in b.terms.items():
-        if ia not in basis or ib not in basis:
-            raise ValueError("unsupported terms present")
-        mat[basis.index(ia), basis.index(ib)] = amp
+    terms = b.terms
+    rows = {a: i for i, a in enumerate(sorted({a for a, _ in terms}))}
+    cols = {c: j for j, c in enumerate(sorted({c for _, c in terms}))}
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for (a, c), amp in terms.items():
+        mat[rows[a], cols[c]] = amp
     sv = np.linalg.svd(mat, compute_uv=False)
     total = float(np.sum(sv**2))
     if total == 0.0:
         raise ValueError("zero state has no Schmidt spectrum")
     sv = sv / math.sqrt(total)
-    return sorted((float(s) for s in sv), reverse=True)
+    dims = min(sum(o + 1 for o in set(orders)) for orders in zip(*b.blocks))
+    return [float(s) for s in sv] + [0.0] * (dims - len(sv))
 
 
 @dataclass

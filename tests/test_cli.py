@@ -65,6 +65,31 @@ def test_mode_bad_spec_exits_2(tmp_path, capsys):
     assert "usage error" in err
 
 
+def test_mode_bad_lg_spec_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "--out-dir", str(tmp_path), "mode", "lg:x")
+    assert code == 2
+    assert "expected lg:p,l" in err
+
+
+def test_grid_size_cap_rejected_while_parsing(tmp_path, capsys, monkeypatch):
+    from sagnacsim import cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was requested")
+
+    monkeypatch.setattr(cli, "GridSpec", no_grid)
+    out_dir = tmp_path / "out"
+    for value in ("4098", str(10**12)):
+        for argv in (
+            ("--grid-size", value, "--out-dir", str(out_dir), "mode", "hg:0,0"),
+            ("--out-dir", str(out_dir), "sort", "hg:1,1", "--grid-size", value),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "4096" in err
+    assert not out_dir.exists()
+
+
 def test_mode_model_error_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "--out-dir", str(tmp_path), "mode", "hg:200,0")
     assert code == 3
@@ -113,6 +138,31 @@ def test_sort_hg15_report(tmp_path, capsys):
     assert "port B power 0.000000" in out
     assert (tmp_path / "hg_1_5_portA_intensity.pgm").exists()
     assert (tmp_path / "hg_1_5_portB_intensity.pgm").exists()
+
+
+def test_sort_roundoff_port_renders_dark(tmp_path, capsys):
+    code, _, _ = run(capsys, "--out-dir", str(tmp_path), "sort", "hg:1,5")
+    assert code == 0
+    _, _, _, _, img = F.parse_pnm(read(tmp_path / "hg_1_5_portB_intensity.pgm"))
+    assert not img.any()
+    _, _, _, _, img = F.parse_pnm(read(tmp_path / "hg_1_5_portA_intensity.pgm"))
+    assert img.max() == 65535
+
+
+def test_sort_partial_ports_render_unthresholded(tmp_path, capsys):
+    from sagnacsim import interferometer as I
+    from sagnacsim import modes as M
+
+    code, _, _ = run(capsys, "--out-dir", str(tmp_path), "sort", "hg:1,1", "--theta", "1.0")
+    assert code == 0
+    geom = M.BeamGeometry(1.0)
+    pair = I.sagnac_transfer(
+        M.ModeExpansion({M.HGIndex(1, 1): 1.0}, geom), I.SagnacStage(1.0, 0.0)
+    )
+    grid = M.GridSpec(8.0, 256)
+    for port, state in (("portA", pair.port_a), ("portB", pair.port_b)):
+        want = F.pgm_bytes(F.intensity_levels(M.sample_mode(state, grid)))
+        assert read(tmp_path / f"hg_1_1_{port}_intensity.pgm") == want
 
 
 def test_sort_hg45_report(tmp_path, capsys):

@@ -3,12 +3,96 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnacsim import modes as M
 from sagnacsim import quantum as Q
 from sagnacsim.interferometer import PARITY_STAGE, SagnacStage
 
 GEOM = Q.DEFAULT_GEOMETRY
+
+
+# ---------------------------------------------------------------------------
+# per-term reference: every term pushed through the single-photon maps one
+# by one and accumulated in dicts, independent of the block layout
+# ---------------------------------------------------------------------------
+
+def _ref_port_maps(stage, max_order):
+    phase = cmath.exp(1j * stage.phi)
+    maps = {}
+    for order in range(max_order + 1):
+        back = M.rotation_matrix(order, -2.0 * stage.omega).astype(complex)
+        eye = np.eye(order + 1, dtype=complex)
+        maps[order] = {"A": 0.5 * (eye + phase * back), "B": 0.5 * (eye - phase * back)}
+    return maps
+
+
+def _ref_apply(mat, idx):
+    col = mat[:, idx.n]
+    return {M.HGIndex(n, idx.order - n): complex(col[n]) for n in range(idx.order + 1) if col[n] != 0}
+
+
+def reference_sort(terms, stage):
+    """Unnormalized branch amplitudes {"AA": {(a, b): amp}, ...}."""
+    terms = {(M.HGIndex(*a), M.HGIndex(*b)): complex(c) for (a, b), c in terms.items()}
+    maps = _ref_port_maps(stage, max(max(a.order, b.order) for a, b in terms))
+    branches = {}
+    for p1 in "AB":
+        for p2 in "AB":
+            acc = {}
+            for (ia, ib), amp in terms.items():
+                for ja, ca in _ref_apply(maps[ia.order][p1], ia).items():
+                    for jb, cb in _ref_apply(maps[ib.order][p2], ib).items():
+                        acc[ja, jb] = acc.get((ja, jb), 0j) + amp * ca * cb
+            branches[p1 + p2] = acc
+    return branches
+
+
+def _ref_compress_index(idx, mat):
+    if idx.order == 0:
+        return {idx: 1.0 + 0j}
+    src = 0 if idx.n == 1 else 1  # matrix basis is (c_10, c_01)
+    return {M.HGIndex(1, 0): complex(mat[0, src]), M.HGIndex(0, 1): complex(mat[1, src])}
+
+
+def reference_compress(terms, spec):
+    mat = spec.matrix()
+    acc = {}
+    for (ia, ib), amp in terms.items():
+        for ja, ca in _ref_compress_index(ia, mat).items():
+            for jb, cb in _ref_compress_index(ib, mat).items():
+                acc[ja, jb] = acc.get((ja, jb), 0j) + amp * ca * cb
+    return acc
+
+
+def _max_diff(got, want):
+    keys = set(got) | set(want)
+    return max((abs(got.get(k, 0j) - want.get(k, 0j)) for k in keys), default=0.0)
+
+
+def assert_sort_matches_reference(b, stage, trigger_modes=()):
+    """Block sort and herald against the per-term reference to 1e-12."""
+    result = Q.sort_biphoton(b, stage)
+    ref = reference_sort(b.terms, stage)
+    total = sum(abs(c) ** 2 for c in b.terms.values())
+    for name, acc in ref.items():
+        power = sum(abs(c) ** 2 for c in acc.values())
+        assert result.probability(name) == pytest.approx(power / total, abs=1e-12)
+        if power / total > 1e-20:
+            want = {k: c / math.sqrt(power) for k, c in acc.items()}
+            assert _max_diff(result.state(name).terms, want) < 1e-12
+    for port, other in (("A", "B"), ("B", "A")):
+        acc = ref[port + other]
+        for trig in trigger_modes:
+            partner = {ib: c for (ia, ib), c in acc.items() if ia == trig}
+            power = sum(abs(c) ** 2 for c in partner.values())
+            if power / total < 1e-20:
+                continue
+            h = Q.herald(result, port, trig)
+            assert h.probability == pytest.approx(power / total, abs=1e-12)
+            want = {k: c / math.sqrt(power) for k, c in partner.items()}
+            assert _max_diff(h.spatial.terms, want) < 1e-12
 
 
 def hg45():
@@ -79,6 +163,34 @@ def test_table_requires_header():
 def test_table_rejects_negative_index():
     with pytest.raises(ValueError, match="line 2"):
         Q.load_biphoton_table("biphoton v1\n0 0 0 -1 0.08 0\n")
+
+
+def test_table_rejects_order_above_max():
+    with pytest.raises(ValueError, match="line 3: order too large"):
+        Q.load_biphoton_table("biphoton v1\n0 0 0 0 1 0\n200 0 0 0 1 0\n")
+    with pytest.raises(ValueError, match="line 2: order too large"):
+        Q.load_biphoton_table("biphoton v1\n0 0 100 71 1 0\n")
+    b = Q.load_biphoton_table("biphoton v1\n0 0 100 70 1 0\n")
+    assert b.coeff((0, 0), (100, 70)) == 1
+
+
+def test_biphoton_rejects_bad_index_before_allocating():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Q.BiphotonExpansion({((-1, 0), (0, 0)): 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        Q.BiphotonExpansion({((0, 0), (2, -1)): 1})
+    with pytest.raises(ValueError, match="order too large"):
+        Q.BiphotonExpansion({((0, 0), (10**12, 0)): 1})
+
+
+def test_biphoton_terms_are_read_only_and_drop_zeros():
+    b = Q.BiphotonExpansion({((1, 0), (0, 0)): 0.5, ((0, 1), (0, 0)): 0.0})
+    assert dict(b.terms) == {(M.HGIndex(1, 0), M.HGIndex(0, 0)): 0.5}
+    with pytest.raises(TypeError):
+        b.terms[(M.HGIndex(0, 0), M.HGIndex(0, 0))] = 1.0
+    assert b.coeff((0, 1), (0, 0)) == 0
+    assert b.coeff((-1, 2), (0, 0)) == 0
+    assert list(b.blocks) == [(1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +341,73 @@ def test_sort_probabilities_sum_to_one():
         result = Q.sort_biphoton(b, stage)
         total = sum(br.probability for br in result.branches.values())
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _random_state(rng, max_order, count):
+    index = [(n, o - n) for o in range(max_order + 1) for n in range(o + 1)]
+    picks = rng.integers(len(index), size=(count, 2))
+    return {
+        (index[i], index[j]): complex(rng.normal(), rng.normal()) for i, j in picks
+    }
+
+
+def test_sort_and_herald_match_reference_on_random_states():
+    rng = np.random.default_rng(29)
+    triggers = [M.HGIndex(0, 0), M.HGIndex(1, 0), M.HGIndex(2, 3), M.HGIndex(0, 6)]
+    for count in (1, 5, 40, 200):
+        b = Q.BiphotonExpansion(_random_state(rng, 6, count))
+        stage = SagnacStage(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        assert_sort_matches_reference(b, stage, triggers)
+    # every term of a dense order-6 x order-6 state, at an off-parity stage
+    index = [(n, o - n) for o in range(7) for n in range(o + 1)]
+    dense = {(a, c): complex(rng.normal(), rng.normal()) for a in index for c in index}
+    assert_sort_matches_reference(Q.BiphotonExpansion(dense), SagnacStage(0.5, 1.1), triggers)
+
+
+def test_pipeline_states_match_reference():
+    bell, _ = Q.fiber_filter_biphoton(Q.spdc_hg00())
+    hg45, _ = Q.fiber_filter_biphoton(Q.spdc_hg45())
+    squeezed = Q.compressor_apply(hg45, Q.COMPRESS_Y_QUARTER)
+    want = reference_compress(hg45.terms, Q.COMPRESS_Y_QUARTER)
+    assert _max_diff(squeezed.terms, want) < 1e-12
+    triggers = [M.HGIndex(0, 0), M.HGIndex(1, 0), M.HGIndex(0, 1)]
+    for b in (bell, hg45, squeezed):
+        assert_sort_matches_reference(b, PARITY_STAGE, triggers)
+        assert_sort_matches_reference(b, SagnacStage(1.0, 0.3), triggers)
+
+
+def test_compressor_matches_reference_on_random_states():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        terms = _random_state(rng, 1, 6)
+        spec = Q.CompressorSpec(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        b = Q.BiphotonExpansion(terms)
+        want = reference_compress(b.terms, spec)
+        assert _max_diff(Q.compressor_apply(b, spec).terms, want) < 1e-12
+
+
+def test_compressor_rejects_higher_order_biphoton():
+    b = Q.BiphotonExpansion({((0, 0), (1, 0)): 1.0, ((2, 0), (0, 0)): 1.0})
+    with pytest.raises(ValueError, match="first order"):
+        Q.compressor_apply(b, Q.COMPRESS_Y_QUARTER)
+
+
+_hg_index = st.integers(0, M.MAX_ORDER).flatmap(
+    lambda order: st.integers(0, order).map(lambda n: (n, order - n))
+)
+_amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.dictionaries(st.tuples(_hg_index, _hg_index), _amplitude, min_size=1, max_size=6),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+def test_sort_probabilities_sum_to_one_up_to_max_order(terms, theta, phi):
+    result = Q.sort_biphoton(Q.BiphotonExpansion(terms), SagnacStage(theta, phi))
+    total = sum(br.probability for br in result.branches.values())
+    assert abs(total - 1.0) <= 1e-12
 
 
 def test_sort_preserves_exchange_symmetry():
@@ -401,10 +580,49 @@ def test_schmidt_diagonal_weights():
     )
 
 
-def test_schmidt_rejects_outside_first_order():
-    b = Q.BiphotonExpansion({((0, 0), (1, 0)): 1.0})
-    with pytest.raises(ValueError, match="unsupported"):
-        Q.schmidt_coefficients(b)
+def test_schmidt_any_order_recovers_known_decomposition():
+    rng = np.random.default_rng(47)
+    index = [(n, o - n) for o in range(11) for n in range(o + 1)]
+    for rank in (1, 3, 6):
+        rows = [index[i] for i in rng.choice(len(index), size=12, replace=False)]
+        cols = [index[i] for i in rng.choice(len(index), size=9, replace=False)]
+
+        def orthonormal(size):
+            raw = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+            return np.linalg.qr(raw)[0]
+
+        weights = np.sort(rng.uniform(0.1, 1.0, size=rank))[::-1]
+        weights /= np.linalg.norm(weights)
+        mat = orthonormal(len(rows)) @ np.diag(weights) @ orthonormal(len(cols)).T
+        b = Q.BiphotonExpansion(
+            {(a, c): mat[i, j] for i, a in enumerate(rows) for j, c in enumerate(cols)}
+        )
+        coeffs = Q.schmidt_coefficients(b)
+        dims = min(
+            sum(o + 1 for o in {n + m for n, m in side}) for side in (rows, cols)
+        )
+        assert len(coeffs) == dims
+        assert coeffs[:rank] == pytest.approx(list(weights), abs=1e-12)
+        assert max(coeffs[rank:]) < 1e-12
+
+
+def test_schmidt_one_term_per_order_to_max_order():
+    # A dense matrix over these orders would be 14706 x 14706; the SVD runs
+    # over the 171 supported rows and columns only.
+    weights = np.arange(1, M.MAX_ORDER + 2, dtype=float)
+    b = Q.BiphotonExpansion({((o, 0), (0, o)): weights[o] for o in range(M.MAX_ORDER + 1)})
+    coeffs = Q.schmidt_coefficients(b)
+    assert len(coeffs) == sum(o + 1 for o in range(M.MAX_ORDER + 1))
+    want = sorted(weights / np.linalg.norm(weights), reverse=True)
+    assert coeffs[: len(want)] == pytest.approx(want, abs=1e-12)
+    assert not any(coeffs[len(want):])
+
+
+def test_schmidt_rejects_zero_state():
+    with pytest.raises(ValueError, match="zero state"):
+        Q.schmidt_coefficients(Q.BiphotonExpansion({}))
+    with pytest.raises(ValueError, match="zero state"):
+        Q.schmidt_coefficients(Q.BiphotonExpansion({((1, 0), (1, 0)): 0.0}))
 
 
 def test_pbs_split_bell_report():

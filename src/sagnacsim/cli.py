@@ -59,7 +59,7 @@ FORK_THRESHOLD = 0.05
 # A port power fraction at or below this is rounding residue of the exact
 # transfer (at most 7e-28 measured for single HG modes up to order 170 at
 # the parity stage); such a port renders dark instead of as noise scaled
-# to full contrast.
+# to full contrast, and such a term is left out of pipeline reports.
 ROUNDOFF_POWER = 1e-20
 
 # Largest --grid-size accepted; every grid array is grid_size^2 samples.
@@ -233,12 +233,14 @@ def cmd_interfere(args) -> int:
         )
 
     xs = grid.axis()
-    X, Y = np.meshgrid(xs, xs)
+    # Pixel (i, j) sits at (x, y) = (xs[j], xs[i]); a row of x and a column
+    # of y broadcast to the grid without building it per coordinate.
+    x, y = xs[None, :], xs[:, None]
     tau = math.pi * args.tilt / grid.half_width
     dx, dy = (offset[0] * geom.w0, offset[1] * geom.w0)
-    out_field = evaluate_expansion(output, X, Y)
-    ref_field = evaluate_expansion(reference, X - dx, Y - dy) * np.exp(
-        1j * (tau * X + args.ref_phase)
+    out_field = evaluate_expansion(output, x, y)
+    ref_field = evaluate_expansion(reference, x - dx, y - dy) * np.exp(
+        1j * (tau * x + args.ref_phase)
     )
     inten = np.abs(out_field + ref_field) ** 2
 
@@ -495,17 +497,19 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
 
     if herald_result is not None:
         report.append("final heralded state:")
-        for idx, amp in sorted(herald_result.spatial.terms.items()):
-            report.append(
-                f"  {idx.n} {idx.m} {formats.fmt_float(amp.real)}"
-                f" {formats.fmt_float(amp.imag)}"
-            )
+        final, label = herald_result.spatial, lambda idx: f"{idx.n} {idx.m}"
     elif state is not None:
         report.append("final state:")
-        for (a, b), amp in sorted(state.terms.items()):
+        final, label = state, lambda key: f"{key[0].n} {key[0].m} {key[1].n} {key[1].m}"
+    else:
+        return report
+    # A term carrying at most ROUNDOFF_POWER of the state's power is
+    # rounding residue of the exact transfer and is not listed.
+    floor = ROUNDOFF_POWER * final.norm_sq()
+    for key, amp in sorted(final.terms.items()):
+        if abs(amp) ** 2 > floor:
             report.append(
-                f"  {a.n} {a.m} {b.n} {b.m} {formats.fmt_float(amp.real)}"
-                f" {formats.fmt_float(amp.imag)}"
+                f"  {label(key)} {formats.fmt_float(amp.real)} {formats.fmt_float(amp.imag)}"
             )
     return report
 
@@ -544,8 +548,10 @@ def cmd_pipeline(args) -> int:
 
 def grid_size(text: str) -> int:
     value = int(text)
-    if value > MAX_GRID_SIZE:
-        raise argparse.ArgumentTypeError(f"grid size {value} exceeds the cap {MAX_GRID_SIZE}")
+    if value < 16 or value > MAX_GRID_SIZE or value % 2:
+        raise argparse.ArgumentTypeError(
+            f"grid size {value} is not an even number from 16 to {MAX_GRID_SIZE}"
+        )
     return value
 
 
@@ -561,7 +567,7 @@ def _add_common_options(parser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--grid-size", type=grid_size, default=default(256),
-        help=f"samples per grid side (at most {MAX_GRID_SIZE})",
+        help=f"samples per grid side (even, 16 to {MAX_GRID_SIZE})",
     )
     parser.add_argument(
         "--half-width", type=float, default=default(None),

@@ -11,9 +11,16 @@ operators
 with phi an optional direction-dependent device phase.  At theta = pi/4
 (Omega = pi/2) these reduce to the 2-D parity projectors followed by a
 common 90 degree rotation of the surviving field, so even n+m exits port
-A and odd n+m exits port B.  Rotations here always use the exact
-per-order matrices so that port powers are conserved to machine
-precision.
+A and odd n+m exits port B.
+
+Both operators are diagonal in OAM: LG_p^l picks up exp(-+i l Omega) in
+the two arms, so a stage multiplies each LG amplitude of an expansion by
+the port factor (exp(-i l Omega) +- e^{i phi} exp(i l Omega)) / 2.
+Stages and cascades therefore work on the LG amplitudes of the per-order
+blocks (:func:`sagnacsim.modes._to_oam`), which keeps port powers
+conserved to machine precision at every order.  A tree of such stages
+sorts OAM by residue, the Sagnac counterpart of the Mach-Zehnder cascade
+of Leach et al., PRL 88, 257901 (2002).
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from .geometry import omega_from_theta, psi_from_omega, theta_for_psi
 from .modes import (
     LGIndex,
     ModeExpansion,
-    oam_phase,
-    rotate_exact,
+    _from_oam,
+    _to_oam,
+    rotate_exact,  # no caller; the benchmark's tracer wraps interferometer.rotate_exact
 )
 
 
@@ -62,6 +70,13 @@ class PortPair:
     input_norm_sq: float
 
 
+def _port_factors(stage: SagnacStage, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Port A and B amplitudes of LG modes with OAM ``l`` at one stage."""
+    plus = np.exp(-1j * l * stage.omega)  # R(+Omega) eigenvalue
+    minus = np.exp(1j * l * stage.omega) * cmath.exp(1j * stage.phi)
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+
+
 def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
     """Split an input expansion over the two Sagnac ports.
 
@@ -69,11 +84,13 @@ def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
     At theta = pi/4 with phi = 0 the ports hold the even and odd 2-D
     parity components (each rotated by 90 degrees).
     """
-    plus = rotate_exact(expansion, stage.omega)
-    minus = rotate_exact(expansion, -stage.omega).scaled(cmath.exp(1j * stage.phi))
-    a = (plus + minus).scaled(0.5).pruned()
-    b = (plus - minus).scaled(0.5).pruned()
-    return PortPair(a, b, expansion.norm_sq())
+    w, l = _to_oam(expansion.blocks)
+    factor_a, factor_b = _port_factors(stage, l)
+    return PortPair(
+        expansion._with_blocks(_from_oam(expansion.blocks, factor_a * w)),
+        expansion._with_blocks(_from_oam(expansion.blocks, factor_b * w)),
+        expansion.norm_sq(),
+    )
 
 
 def port_powers(pair: PortPair) -> tuple[float, float]:
@@ -92,13 +109,14 @@ def mz_1d_sort(expansion: ModeExpansion) -> PortPair:
     One arm mirrors x, so coefficients route to port A when n is even and
     to port B when n is odd; the surviving terms are passed unchanged.
     """
-    a = {i: c for i, c in expansion.terms.items() if i.n % 2 == 0}
-    b = {i: c for i, c in expansion.terms.items() if i.n % 2 == 1}
-    return PortPair(
-        ModeExpansion(a, expansion.geometry),
-        ModeExpansion(b, expansion.geometry),
-        expansion.norm_sq(),
-    )
+
+    def keep(parity: int) -> ModeExpansion:
+        return expansion._with_blocks({
+            o: np.where(np.arange(o + 1) % 2 == parity, block, 0j)
+            for o, block in expansion.blocks.items()
+        })
+
+    return PortPair(keep(0), keep(1), expansion.norm_sq())
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +168,6 @@ def cascade_build(depth: int) -> CascadeNode:
     return build(1, 0)
 
 
-def _lg_port_fractions(stage: SagnacStage, l: int) -> tuple[float, float]:
-    """Port powers for a pure OAM-l input, by rotation-eigenvalue arithmetic."""
-    plus = oam_phase(LGIndex(0, l), stage.omega)  # R(+Omega) eigenvalue
-    minus = oam_phase(LGIndex(0, l), -stage.omega) * cmath.exp(1j * stage.phi)
-    pa = abs(0.5 * (plus + minus)) ** 2
-    pb = abs(0.5 * (plus - minus)) ** 2
-    return pa, pb
-
-
 @dataclass
 class LeafPower:
     label: str
@@ -169,44 +178,37 @@ class LeafPower:
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     """Route an input through a sorting tree; returns per-leaf power fractions.
 
-    An :class:`LGIndex` input is routed by exact rotation-eigenvalue
-    arithmetic; a :class:`ModeExpansion` is propagated through each stage
-    numerically and the leaf states are returned alongside the powers.
-    Leaves are listed in depth-first order, port A first.
+    The input is taken to LG amplitudes once, each stage multiplies them by
+    its port factors, and only the leaves go back to HG blocks.  An
+    :class:`LGIndex` input is the single amplitude 1 at its l, so its leaves
+    carry powers only; a :class:`ModeExpansion` input also gets each leaf
+    state.  Leaves are listed in depth-first order, port A first.
     """
+    if isinstance(input_state, LGIndex):
+        expansion, total = None, 1.0
+        w, l = np.ones(1, dtype=complex), np.array([input_state.l])
+    elif isinstance(input_state, ModeExpansion):
+        expansion, total = input_state, input_state.norm_sq()
+        if total == 0.0:
+            raise ValueError("zero input power")
+        w, l = _to_oam(expansion.blocks)
+    else:
+        raise TypeError("input must be an LGIndex or a ModeExpansion")
     leaves: list[LeafPower] = []
 
-    if isinstance(input_state, LGIndex) or (
-        isinstance(input_state, tuple) and not isinstance(input_state, ModeExpansion)
-    ):
-        idx = LGIndex(*input_state)
-
-        def walk_lg(n: CascadeNode, weight: float):
-            if n.is_leaf:
-                leaves.append(LeafPower(n.label, weight))
-                return
-            pa, pb = _lg_port_fractions(n.stage, idx.l)
-            walk_lg(n.child_a, weight * pa)
-            walk_lg(n.child_b, weight * pb)
-
-        walk_lg(node, 1.0)
-        return leaves
-
-    if not isinstance(input_state, ModeExpansion):
-        raise TypeError("input must be an LGIndex or a ModeExpansion")
-    total = input_state.norm_sq()
-    if total == 0.0:
-        raise ValueError("zero input power")
-
-    def walk(n: CascadeNode, state: ModeExpansion):
+    def walk(n: CascadeNode, amps: np.ndarray):
         if n.is_leaf:
-            leaves.append(LeafPower(n.label, state.norm_sq() / total, state))
+            power = float(np.vdot(amps, amps).real) / total
+            state = None
+            if expansion is not None:
+                state = expansion._with_blocks(_from_oam(expansion.blocks, amps))
+            leaves.append(LeafPower(n.label, power, state))
             return
-        pair = sagnac_transfer(state, n.stage)
-        walk(n.child_a, pair.port_a)
-        walk(n.child_b, pair.port_b)
+        factor_a, factor_b = _port_factors(n.stage, l)
+        walk(n.child_a, factor_a * amps)
+        walk(n.child_b, factor_b * amps)
 
-    walk(node, input_state)
+    walk(node, w)
     return leaves
 
 

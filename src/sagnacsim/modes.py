@@ -12,8 +12,12 @@ The sorter model downstream is z-independent in the ideal case, so no Gouy
 phase or wavefront curvature is tracked.
 
 Beam states are finite complex expansions over the HG basis
-(:class:`ModeExpansion`).  Grid sampling, overlap decomposition, parity
-labels, and transverse rotation operators complete the toolkit.
+(:class:`ModeExpansion`), stored as one coefficient vector per total
+order.  Grid sampling, overlap decomposition, parity labels, and
+transverse rotation operators complete the toolkit.  Rotations, and the
+Sagnac stages built on them, are diagonal multiplies between
+:func:`_to_oam` and :func:`_from_oam`, which carry the blocks to the LG
+amplitudes of each order and back.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -133,33 +139,62 @@ def hg_field_at(idx: HGIndex, x, y, geom: BeamGeometry):
 
 
 class ModeExpansion:
-    """Finite complex expansion over the HG basis.
+    """Finite complex expansion over the HG basis, stored per total order.
 
-    The coefficient map is kept exactly as constructed; the squared norm is
-    reported by :meth:`norm_sq` and never silently renormalized.
+    ``blocks`` maps a total order o to a read-only complex vector of length
+    o + 1 whose entry n multiplies HG_{n, o-n}; only blocks holding a
+    nonzero coefficient are kept.  ``terms`` is a read-only mapping derived
+    from the blocks, without exact zeros.  The squared norm is reported by
+    :meth:`norm_sq` and never silently renormalized.
     """
 
-    __slots__ = ("terms", "geometry")
+    __slots__ = ("blocks", "geometry")
 
     def __init__(self, terms, geometry: BeamGeometry):
-        clean: dict[HGIndex, complex] = {}
+        self.blocks = {}
         for idx, amp in dict(terms).items():
-            idx = _check_index(HGIndex(*idx))
-            amp = complex(amp)
+            # Validated before anything is allocated for it: a block holds
+            # at most MAX_ORDER + 1 entries.
+            idx, amp = _check_index(HGIndex(*idx)), complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude for {idx}")
-            clean[idx] = amp
-        self.terms = clean
+            if amp != 0:
+                if idx.order not in self.blocks:
+                    self.blocks[idx.order] = np.zeros(idx.order + 1, complex)
+                self.blocks[idx.order][idx.n] = amp
+        for block in self.blocks.values():
+            block.setflags(write=False)
         self.geometry = geometry
 
+    def _with_blocks(self, blocks) -> "ModeExpansion":
+        """This expansion's geometry with the nonzero ``blocks``, unvalidated."""
+        out = ModeExpansion({}, self.geometry)
+        out.blocks = {o: block for o, block in blocks.items() if np.count_nonzero(block)}
+        for block in out.blocks.values():
+            block.setflags(write=False)
+        return out
+
+    @property
+    def terms(self) -> Mapping[HGIndex, complex]:
+        """Read-only mapping of the nonzero coefficients."""
+        return MappingProxyType({
+            HGIndex(n, o - n): complex(block[n])
+            for o, block in self.blocks.items()
+            for n in np.flatnonzero(block).tolist()
+        })
+
     def coeff(self, idx) -> complex:
-        return self.terms.get(HGIndex(*idx), 0j)
+        idx = HGIndex(*idx)
+        block = self.blocks.get(idx.order)
+        if block is None or min(idx) < 0:
+            return 0j
+        return complex(block[idx.n])
 
     def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.terms.values()))
+        return float(sum(np.vdot(block, block).real for block in self.blocks.values()))
 
     def max_order(self) -> int:
-        return max((idx.order for idx in self.terms), default=0)
+        return max(self.blocks, default=0)
 
     def normalized(self) -> "ModeExpansion":
         n = math.sqrt(self.norm_sq())
@@ -168,33 +203,28 @@ class ModeExpansion:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "ModeExpansion":
-        return ModeExpansion(
-            {i: a * factor for i, a in self.terms.items()}, self.geometry
-        )
+        return self._with_blocks({o: block * factor for o, block in self.blocks.items()})
 
     def inner(self, other: "ModeExpansion") -> complex:
         """Hilbert-space inner product <self|other> (conjugate on self)."""
-        small, big = self.terms, other.terms
-        acc = 0j
-        for idx, a in small.items():
-            b = big.get(idx)
-            if b is not None:
-                acc += a.conjugate() * b
-        return acc
+        return complex(sum(
+            (np.vdot(block, other.blocks[o]) for o, block in self.blocks.items() if o in other.blocks),
+            0j,
+        ))
 
     def __add__(self, other: "ModeExpansion") -> "ModeExpansion":
-        out = dict(self.terms)
-        for idx, a in other.terms.items():
-            out[idx] = out.get(idx, 0j) + a
-        return ModeExpansion(out, self.geometry)
+        out = dict(self.blocks)
+        for o, block in other.blocks.items():
+            out[o] = out[o] + block if o in out else block
+        return self._with_blocks(out)
 
     def __sub__(self, other: "ModeExpansion") -> "ModeExpansion":
         return self + other.scaled(-1.0)
 
     def pruned(self, tol: float = 0.0) -> "ModeExpansion":
         """Drop terms with |amplitude| <= tol (exact zeros by default)."""
-        return ModeExpansion(
-            {i: a for i, a in self.terms.items() if abs(a) > tol}, self.geometry
+        return self._with_blocks(
+            {o: np.where(np.abs(block) > tol, block, 0j) for o, block in self.blocks.items()}
         )
 
     def __repr__(self):
@@ -266,37 +296,42 @@ def _ladders_for(spec: GridSpec, geom: BeamGeometry, nmax: int, mmax: int):
     return hx, hy
 
 
+def _coeff_matrix(expansion: ModeExpansion) -> np.ndarray:
+    """Nonempty expansion as the matrix C[m, n] over its occupied n and m ranges."""
+    occupied = [(o, np.flatnonzero(block), block) for o, block in expansion.blocks.items()]
+    nmax = max(n[-1] for _o, n, _block in occupied)
+    mmax = max(o - n[0] for o, n, _block in occupied)
+    coeff = np.zeros((mmax + 1, nmax + 1), dtype=complex)
+    for o, n, block in occupied:
+        coeff[o - n, n] = block[n]
+    return coeff
+
+
 def sample_mode(expansion: ModeExpansion, spec: GridSpec) -> GridField:
     """Pointwise evaluation of an expansion on a grid; linear in coefficients."""
     n = spec.samples_per_side
-    if not expansion.terms:
+    if not expansion.blocks:
         return GridField(spec, np.zeros((n, n), dtype=complex))
-    nmax = max(i.n for i in expansion.terms)
-    mmax = max(i.m for i in expansion.terms)
-    hx, hy = _ladders_for(spec, expansion.geometry, nmax, mmax)
-    # Separable assembly: field = Hy^T C Hx with C the coefficient matrix.
-    coeff = np.zeros((mmax + 1, nmax + 1), dtype=complex)
-    for idx, amp in expansion.terms.items():
-        coeff[idx.m, idx.n] = amp
-    values = hy.T @ coeff @ hx
-    return GridField(spec, values)
+    coeff = _coeff_matrix(expansion)
+    hx, hy = _ladders_for(spec, expansion.geometry, coeff.shape[1] - 1, coeff.shape[0] - 1)
+    # Separable assembly: field = Hy^T C Hx.
+    return GridField(spec, hy.T @ coeff @ hx)
 
 
 def evaluate_expansion(expansion: ModeExpansion, x, y) -> np.ndarray:
     """Field of an expansion at arbitrary points (vectorized over x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-    if not expansion.terms:
-        return out
+    if not expansion.blocks:
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
     w0 = expansion.geometry.w0
-    nmax = max(i.n for i in expansion.terms)
-    mmax = max(i.m for i in expansion.terms)
-    hx = hermite_gauss_ladder(nmax, x, w0)
-    hy = hermite_gauss_ladder(mmax, y, w0)
-    for idx, amp in expansion.terms.items():
-        out = out + amp * hx[idx.n] * hy[idx.m]
-    return out
+    coeff = _coeff_matrix(expansion)
+    hx = hermite_gauss_ladder(coeff.shape[1] - 1, x, w0)
+    hy = hermite_gauss_ladder(coeff.shape[0] - 1, y, w0)
+    # field = sum_mn C[m, n] hx[n] hy[m]: a matrix product over n, then a
+    # broadcast sum over m.  Each ladder keeps its own points' shape, so an
+    # x row and a y column cost two ladders of one axis each.
+    return np.einsum("m...,m...->...", hy, np.tensordot(coeff, hx, axes=1))
 
 
 def sample_lg(idx: LGIndex, geom: BeamGeometry, spec: GridSpec) -> GridField:
@@ -332,9 +367,7 @@ def lg_to_hg(idx: LGIndex, geom: BeamGeometry) -> ModeExpansion:
         raise ValueError(f"order too large: {order} exceeds {MAX_ORDER}")
     column = rotation_matrix(order, -math.pi / 4)[:, (order + idx.l) // 2]
     amps = column * _I_POWERS[(np.arange(order + 1) - abs(idx.l)) % 4]
-    return ModeExpansion(
-        {HGIndex(n, order - n): amps[n] for n in range(order + 1)}, geom
-    )
+    return ModeExpansion({}, geom)._with_blocks({order: amps})
 
 
 def _lobe_samples(spec: GridSpec, geom: BeamGeometry, order: int) -> float:
@@ -365,15 +398,10 @@ def decompose_grid(
     hx, hy = _ladders_for(field.spec, geom, max_order, max_order)
     # c_nm = sum_ij hy[m, i] hx[n, j] F[i, j] dx^2, batched as Hy F Hx^T.
     coeffs = (hy @ field.values @ hx.T) * field.spec.dx**2
-    terms: dict[HGIndex, complex] = {}
-    captured = 0.0
-    for n in range(max_order + 1):
-        for m in range(max_order + 1 - n):
-            c = complex(coeffs[m, n])
-            terms[HGIndex(n, m)] = c
-            captured += abs(c) ** 2
-    residual = field.norm_sq() - captured
-    return ModeExpansion(terms, geom), residual
+    out = ModeExpansion({}, geom)._with_blocks({
+        o: coeffs[o - np.arange(o + 1), np.arange(o + 1)] for o in range(max_order + 1)
+    })
+    return out, field.norm_sq() - out.norm_sq()
 
 
 def parity_2d(idx: HGIndex) -> Parity:
@@ -439,25 +467,39 @@ def rotation_matrix(order: int, angle: float) -> np.ndarray:
     return ((basis * np.exp(-1j * l * angle)) @ basis.conj().T).real
 
 
+def _to_oam(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """LG amplitudes of per-order blocks, with their l values.
+
+    Each block c of order o becomes w = V^dagger c over the LG modes of that
+    order (:func:`_lg_basis`); the amplitudes of all blocks are concatenated
+    in the blocks' key order.  Every rotation and Sagnac port is diagonal in
+    this basis.
+    """
+    w = [np.zeros(0, dtype=complex)]
+    l = [np.zeros(0, dtype=int)]
+    for o, block in blocks.items():
+        w.append(block @ _lg_basis(o).conj())
+        l.append(np.arange(o, -o - 1, -2))
+    return np.concatenate(w), np.concatenate(l)
+
+
+def _from_oam(orders, w: np.ndarray) -> dict[int, np.ndarray]:
+    """Per-order blocks V w of amplitudes laid out by :func:`_to_oam` for ``orders``."""
+    blocks = {}
+    start = 0
+    for o in orders:
+        blocks[o] = _lg_basis(o) @ w[start:start + o + 1]
+        start += o + 1
+    return blocks
+
+
 def rotate_exact(expansion: ModeExpansion, angle: float) -> ModeExpansion:
-    """Rotate an expansion with per-order rotation matrices (any order).
+    """Rotate an expansion by multiplying its LG amplitudes by exp(-i l angle).
 
     Unitary to machine precision at every order up to MAX_ORDER.
     """
-    by_order: dict[int, dict[int, complex]] = {}
-    for idx, amp in expansion.terms.items():
-        by_order.setdefault(idx.order, {})[idx.n] = amp
-    terms: dict[HGIndex, complex] = {}
-    for order, block in by_order.items():
-        mat = rotation_matrix(order, angle)
-        vec = np.zeros(order + 1, dtype=complex)
-        for n, amp in block.items():
-            vec[n] = amp
-        rotated = mat @ vec
-        for n in range(order + 1):
-            if rotated[n] != 0:
-                terms[HGIndex(n, order - n)] = complex(rotated[n])
-    return ModeExpansion(terms, expansion.geometry)
+    w, l = _to_oam(expansion.blocks)
+    return expansion._with_blocks(_from_oam(expansion.blocks, w * np.exp(-1j * l * angle)))
 
 
 def rotate_field_bilinear(field: GridField, angle: float) -> GridField:
@@ -538,13 +580,9 @@ def rotate_expansion(expansion: ModeExpansion, angle: float) -> ModeExpansion:
         raise ValueError("rotation angle must be finite")
     reduced = angle % (2.0 * math.pi)
     if min(reduced, 2.0 * math.pi - reduced) < 1e-12:
-        return ModeExpansion(dict(expansion.terms), expansion.geometry)
+        return expansion._with_blocks(expansion.blocks)
     if abs(reduced - math.pi) < 1e-12:
-        return ModeExpansion(
-            {
-                idx: amp * (1.0 if idx.order % 2 == 0 else -1.0)
-                for idx, amp in expansion.terms.items()
-            },
-            expansion.geometry,
+        return expansion._with_blocks(
+            {o: -block if o % 2 else block for o, block in expansion.blocks.items()}
         )
     return rotate_exact(expansion, angle)

@@ -79,14 +79,14 @@ def test_grid_size_cap_rejected_while_parsing(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "GridSpec", no_grid)
     out_dir = tmp_path / "out"
-    for value in ("4098", str(10**12)):
+    for value in ("4098", str(10**12), "0", "15", "17", "-256"):
         for argv in (
             ("--grid-size", value, "--out-dir", str(out_dir), "mode", "hg:0,0"),
             ("--out-dir", str(out_dir), "sort", "hg:1,1", "--grid-size", value),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 2
-            assert "4096" in err
+            assert f"grid size {value} is not an even number from 16 to 4096" in err
     assert not out_dir.exists()
 
 
@@ -395,6 +395,21 @@ def test_pipeline_bell(tmp_path, capsys):
     assert "schmidt: (0.7071068, 0.7071068)" in out
     assert "post_selection=0.72727272727272729" in out
     assert (tmp_path / "pipeline_bell.txt").read_text() == out
+
+
+def test_pipeline_reports_skip_roundoff_terms(tmp_path, capsys):
+    # The exact parity sort leaves ~1e-33 residue on the BB state's cross
+    # terms; only the two physical terms are listed.
+    code, out, _ = run(capsys, "--out-dir", str(tmp_path), "pipeline", "bell")
+    assert code == 0
+    final = [line.split() for line in out.split("final state:\n")[1].splitlines()]
+    assert [line[:4] for line in final] == [["0", "1", "0", "1"], ["1", "0", "1", "0"]]
+    for line in final:
+        assert float(line[4]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    code, out, _ = run(capsys, "--out-dir", str(tmp_path), "pipeline", "herald-lg")
+    assert code == 0
+    final = out.split("final heralded state:\n")[1].splitlines()
+    assert [line.split()[:2] for line in final] == [["0", "1"], ["1", "0"]]
 
 
 def test_pipeline_herald(tmp_path, capsys):

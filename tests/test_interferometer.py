@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnacsim import interferometer as I
 from sagnacsim import modes as M
@@ -235,6 +237,153 @@ def test_cascade_depth_bounds():
         I.cascade_build(0)
     with pytest.raises(ValueError):
         I.cascade_build(6)
+
+
+# ---------------------------------------------------------------------------
+# per-term reference: the dict code the OAM-basis operators replaced
+# ---------------------------------------------------------------------------
+
+def reference_rotate(terms, angle):
+    """Rotate a term dict block by block with the per-order rotation matrices."""
+    by_order = {}
+    for idx, amp in terms.items():
+        by_order.setdefault(idx.order, {})[idx.n] = amp
+    out = {}
+    for order, block in by_order.items():
+        vec = np.zeros(order + 1, dtype=complex)
+        for n, amp in block.items():
+            vec[n] = amp
+        rotated = M.rotation_matrix(order, angle) @ vec
+        for n in range(order + 1):
+            if rotated[n] != 0:
+                out[M.HGIndex(n, order - n)] = complex(rotated[n])
+    return out
+
+
+def reference_transfer(terms, stage):
+    """Port term dicts (R(+Omega) +- e^{i phi} R(-Omega)) / 2."""
+    plus = reference_rotate(terms, stage.omega)
+    minus = reference_rotate(terms, -stage.omega)
+    phase = cmath.exp(1j * stage.phi)
+    port_a, port_b = {}, {}
+    for idx in set(plus) | set(minus):
+        p, m = plus.get(idx, 0j), phase * minus.get(idx, 0j)
+        port_a[idx] = 0.5 * (p + m)
+        port_b[idx] = 0.5 * (p - m)
+    return port_a, port_b
+
+
+def reference_cascade(node, input_state):
+    """Two walks: rotation-eigenvalue arithmetic for an LGIndex, per-term
+    transfers for an expansion.  Leaves are (label, power, terms or None)."""
+    leaves = []
+    if isinstance(input_state, M.LGIndex):
+
+        def walk_lg(n, weight):
+            if n.is_leaf:
+                leaves.append((n.label, weight, None))
+                return
+            plus = M.oam_phase(input_state, n.stage.omega)
+            minus = M.oam_phase(input_state, -n.stage.omega) * cmath.exp(1j * n.stage.phi)
+            walk_lg(n.child_a, weight * abs(0.5 * (plus + minus)) ** 2)
+            walk_lg(n.child_b, weight * abs(0.5 * (plus - minus)) ** 2)
+
+        walk_lg(node, 1.0)
+        return leaves
+    total = sum(abs(a) ** 2 for a in input_state.terms.values())
+
+    def walk(n, terms):
+        if n.is_leaf:
+            leaves.append((n.label, sum(abs(a) ** 2 for a in terms.values()) / total, terms))
+            return
+        port_a, port_b = reference_transfer(terms, n.stage)
+        walk(n.child_a, port_a)
+        walk(n.child_b, port_b)
+
+    walk(node, dict(input_state.terms))
+    return leaves
+
+
+def max_diff(terms, want):
+    return max((abs(terms.get(k, 0j) - want.get(k, 0j)) for k in set(terms) | set(want)), default=0.0)
+
+
+def random_sparse(rng, max_order, count):
+    """Unit-norm expansion with ``count`` random terms of order <= max_order."""
+    terms = {}
+    while len(terms) < count:
+        order = int(rng.integers(max_order + 1))
+        n = int(rng.integers(order + 1))
+        terms[M.HGIndex(n, order - n)] = complex(rng.normal(), rng.normal())
+    return M.ModeExpansion(terms, GEOM).normalized()
+
+
+def test_rotate_and_transfer_match_reference_on_random_states():
+    rng = np.random.default_rng(41)
+    states = [random_expansion(rng, max_order) for max_order in (0, 1, 6, 17, 40)]
+    states += [random_sparse(rng, 40, count) for count in (1, 3, 30, 200)]
+    for e in states:
+        for _ in range(3):
+            angle = rng.uniform(-2 * math.pi, 2 * math.pi)
+            assert max_diff(M.rotate_exact(e, angle).terms, reference_rotate(e.terms, angle)) < 1e-12
+            stage = I.SagnacStage(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            pair = I.sagnac_transfer(e, stage)
+            want_a, want_b = reference_transfer(e.terms, stage)
+            assert max_diff(pair.port_a.terms, want_a) < 1e-12
+            assert max_diff(pair.port_b.terms, want_b) < 1e-12
+        mz = I.mz_1d_sort(e)
+        assert dict(mz.port_a.terms) == {i: c for i, c in e.terms.items() if i.n % 2 == 0}
+        assert dict(mz.port_b.terms) == {i: c for i, c in e.terms.items() if i.n % 2 == 1}
+
+
+def test_cascade_matches_reference_through_depth_5():
+    rng = np.random.default_rng(43)
+    tree = I.cascade_build(5)
+    states = [random_expansion(rng, max_order) for max_order in (0, 3, 10)]
+    states += [random_sparse(rng, 10, count) for count in (1, 5, 20)]
+    for e in states:
+        got = I.cascade_route(tree, e)
+        want = reference_cascade(tree, e)
+        assert [leaf.label for leaf in got] == [label for label, _, _ in want]
+        for leaf, (_, power, terms) in zip(got, want):
+            assert abs(leaf.power - power) < 1e-12
+            assert max_diff(leaf.state.terms, terms) < 1e-12
+    for depth in range(1, 6):
+        tree = I.cascade_build(depth)
+        for l in range(-40, 41):
+            got = I.cascade_route(tree, M.LGIndex(0, l))
+            want = reference_cascade(tree, M.LGIndex(0, l))
+            assert [(leaf.label, leaf.state) for leaf in got] == [(lab, None) for lab, _, _ in want]
+            assert max(abs(leaf.power - power) for leaf, (_, power, _) in zip(got, want)) < 1e-12
+
+
+def test_cascade_rejects_other_inputs():
+    with pytest.raises(TypeError):
+        I.cascade_route(I.cascade_build(1), (0, 2))
+    with pytest.raises(ValueError, match="zero input"):
+        I.cascade_route(I.cascade_build(1), M.ModeExpansion({}, GEOM))
+
+
+_hg_index = st.integers(0, M.MAX_ORDER).flatmap(
+    lambda order: st.integers(0, order).map(lambda n: (n, order - n))
+)
+_amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False)
+_DEPTH_5 = I.cascade_build(5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.dictionaries(_hg_index, _amplitude, min_size=1, max_size=6),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+def test_port_and_leaf_powers_sum_to_one_up_to_max_order(terms, theta, phi):
+    e = M.ModeExpansion(terms, GEOM)
+    pa, pb = I.port_powers(I.sagnac_transfer(e, I.SagnacStage(theta, phi)))
+    assert abs(pa + pb - 1.0) <= 1e-12
+    leaves = I.cascade_route(_DEPTH_5, e)
+    assert abs(sum(leaf.power for leaf in leaves) - 1.0) <= 1e-12
+    assert abs(sum(leaf.state.norm_sq() for leaf in leaves) / e.norm_sq() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

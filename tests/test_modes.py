@@ -429,3 +429,56 @@ def test_norm_reported_not_renormalized():
     e = M.ModeExpansion({M.HGIndex(0, 0): 2.0}, GEOM)
     assert e.norm_sq() == pytest.approx(4.0)
     assert e.normalized().norm_sq() == pytest.approx(1.0)
+
+
+def test_expansion_terms_are_read_only_and_drop_zeros():
+    e = M.ModeExpansion({(1, 0): 0.5, (0, 1): 0.0, (2, 0): 0j}, GEOM)
+    assert dict(e.terms) == {M.HGIndex(1, 0): 0.5}
+    assert list(e.blocks) == [1]
+    with pytest.raises(TypeError):
+        e.terms[M.HGIndex(0, 0)] = 1.0
+    with pytest.raises(ValueError):
+        e.blocks[1][0] = 1.0
+    assert e.coeff((0, 1)) == 0
+    assert e.coeff((-1, 2)) == 0
+    assert e.coeff((5, 5)) == 0
+    cancelled = e - e
+    assert cancelled.blocks == {} and dict(cancelled.terms) == {}
+    assert M.rotate_exact(e, 0.4).pruned(0.1).blocks.keys() == {1}
+
+
+def test_expansion_rejects_bad_index_before_allocating():
+    with pytest.raises(ValueError, match="nonnegative"):
+        M.ModeExpansion({(-1, 0): 1.0}, GEOM)
+    with pytest.raises(ValueError, match="nonnegative"):
+        M.ModeExpansion({(0, 0): 1.0, (2, -1): 1.0}, GEOM)
+    with pytest.raises(ValueError, match="order too large"):
+        M.ModeExpansion({(M.MAX_ORDER + 1, 0): 1.0}, GEOM)
+    # A block of this order would need 8 TB; the index check must come first.
+    with pytest.raises(ValueError, match="order too large"):
+        M.ModeExpansion({(0, 10**12): 1.0}, GEOM)
+
+
+def reference_evaluate(expansion, x, y):
+    """Per-term field sum, the loop the block contraction replaced."""
+    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    for idx, amp in expansion.terms.items():
+        out = out + amp * M.hg_field_at(idx, x, y, expansion.geometry)
+    return out
+
+
+def test_evaluate_expansion_matches_per_term_sum():
+    rng = np.random.default_rng(23)
+    geom = M.BeamGeometry(0.7)
+    # Sparse and irregular support: the occupied n and m ranges differ.
+    terms = {(0, 3): 0.4 - 0.2j, (5, 1): -0.3j, (2, 2): 0.25, (7, 0): 0.1 + 0.1j}
+    e = M.ModeExpansion(terms, geom)
+    x = rng.uniform(-3.0, 3.0, size=40)
+    y = rng.uniform(-3.0, 3.0, size=(7, 1))
+    got = M.evaluate_expansion(e, x, y)
+    assert got.shape == (7, 40)
+    assert np.max(np.abs(got - reference_evaluate(e, x, y))) < 1e-13
+    assert M.evaluate_expansion(e, 0.3, -0.2) == pytest.approx(
+        complex(reference_evaluate(e, 0.3, -0.2)), abs=1e-14
+    )
+    assert np.all(M.evaluate_expansion(M.ModeExpansion({}, geom), x, y) == 0)

@@ -27,6 +27,7 @@ from .interferometer import (
     sagnac_transfer,
 )
 from .modes import (
+    MAX_ORDER,
     BeamGeometry,
     GridSpec,
     HGIndex,
@@ -64,6 +65,13 @@ ROUNDOFF_POWER = 1e-20
 
 # Largest --grid-size accepted; every grid array is grid_size^2 samples.
 MAX_GRID_SIZE = 4096
+
+# Most OAM values one --l list may hold (each |l| is at most MAX_ORDER).
+MAX_L_VALUES = 1024
+
+# A CSV image is formatted and written in bands of whole rows holding about
+# this many values, so its text never exists whole.
+CSV_BAND_VALUES = 1 << 14
 
 
 def _preset_hg45(geom: BeamGeometry) -> ModeExpansion:
@@ -136,14 +144,17 @@ def _image_paths(args, stem: str, kind: str) -> str:
     return os.path.join(args.out_dir, f"{stem}_{kind}.{ext}")
 
 
-def _emit_image(args, path: str, levels: np.ndarray, raw: np.ndarray) -> None:
-    if args.format == "pgm":
-        _write_bytes(path, formats.pgm_bytes(levels))
-    elif args.format == "ppm":
-        _write_bytes(path, formats.ppm_bytes(levels))
-    else:
+def _emit_image(args, path: str, raw: np.ndarray, to_levels) -> None:
+    """Write ``raw`` (top row first) as CSV values, or as the image of
+    ``to_levels(raw)``."""
+    if args.format == "csv":
+        rows = max(1, CSV_BAND_VALUES // raw.shape[1])
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(formats.csv_matrix(raw))
+            for start in range(0, len(raw), rows):
+                fh.write(formats.csv_matrix(raw[start : start + rows]))
+    else:
+        write = formats.pgm_bytes if args.format == "pgm" else formats.ppm_bytes
+        _write_bytes(path, write(to_levels(raw)))
 
 
 def _write_metadata(args) -> None:
@@ -176,13 +187,11 @@ def cmd_mode(args) -> int:
     stem = _stem(args.spec)
     field = sample_mode(parse_mode_spec(args.spec, geom, grid), grid)
     path = _image_paths(args, stem, "intensity")
-    _emit_image(args, path, formats.intensity_levels(field), np.abs(field.values[::-1]) ** 2)
+    _emit_image(args, path, np.abs(field.values[::-1]) ** 2, formats.scale_to_levels)
     print(f"wrote {path}")
     if args.phase:
         ppath = _image_paths(args, stem, "phase")
-        _emit_image(
-            args, ppath, formats.phase_levels(field), np.angle(field.values[::-1])
-        )
+        _emit_image(args, ppath, np.angle(field.values[::-1]), formats.phase_levels)
         print(f"wrote {ppath}")
     _write_metadata(args)
     return 0
@@ -200,9 +209,7 @@ def cmd_sort(args) -> int:
             state = ModeExpansion({}, geom)
         field = sample_mode(state, grid)
         path = _image_paths(args, f"{stem}_{port}", "intensity")
-        _emit_image(
-            args, path, formats.intensity_levels(field), np.abs(field.values[::-1]) ** 2
-        )
+        _emit_image(args, path, np.abs(field.values[::-1]) ** 2, formats.scale_to_levels)
     print(f"port A power {pa:.6f}")
     print(f"port B power {pb:.6f}")
     _write_metadata(args)
@@ -246,8 +253,7 @@ def cmd_interfere(args) -> int:
 
     stem = _stem(args.spec)
     path = _image_paths(args, stem, "interference")
-    levels = formats.scale_to_levels(inten)[::-1]
-    _emit_image(args, path, levels, inten[::-1])
+    _emit_image(args, path, inten[::-1], formats.scale_to_levels)
     print(f"wrote {path}")
 
     if args.analyze_fork:
@@ -291,22 +297,29 @@ def cmd_sweep_theta(args) -> int:
 
 
 def _parse_l_list(text: str) -> list[int]:
-    out = []
+    """The OAM values of a ``--l`` list of integers and ``a..b`` ranges;
+    bounds and the total count are checked before any range is expanded."""
+    ranges = []
     for chunk in text.split(","):
         chunk = chunk.strip()
+        if not chunk:
+            continue
         try:
-            if ".." in chunk:
-                lo, hi = chunk.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            elif chunk:
-                out.append(int(chunk))
+            bounds = chunk.split("..") if ".." in chunk else [chunk, chunk]
+            lo, hi = (int(v) for v in bounds)
         except ValueError:
             raise UsageError(
                 f"bad l list entry '{chunk}': expected an integer or a..b"
             ) from None
-    if not out:
+        if max(abs(lo), abs(hi)) > MAX_ORDER:
+            raise UsageError(f"l list entry '{chunk}' goes beyond |l| = {MAX_ORDER}")
+        ranges.append((lo, hi))
+    count = sum(max(hi - lo + 1, 0) for lo, hi in ranges)
+    if not count:
         raise UsageError("empty l list")
-    return out
+    if count > MAX_L_VALUES:
+        raise UsageError(f"l list holds {count} values, more than {MAX_L_VALUES}")
+    return [l for lo, hi in ranges for l in range(lo, hi + 1)]
 
 
 def cmd_cascade(args) -> int:
@@ -375,6 +388,10 @@ def _kv_params(parts: list[str], lineno: int) -> dict[str, str]:
     return kv
 
 
+def _kv_number(kv: dict[str, str], key: str, default: float, lineno: int) -> float:
+    return formats.parse_number(kv[key], lineno) if key in kv else default
+
+
 def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
     """Execute a pipeline script and return its report lines."""
     report = [f"pipeline {name}"]
@@ -419,8 +436,8 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
         elif op == "compressor":
             kv = _kv_params(parts[1:], lineno)
             spec = Q.CompressorSpec(
-                axis_angle=float(kv.get("axis", math.pi / 2)),
-                retardance=float(kv.get("retardance", math.pi / 2)),
+                axis_angle=_kv_number(kv, "axis", math.pi / 2, lineno),
+                retardance=_kv_number(kv, "retardance", math.pi / 2, lineno),
             )
             if state is None:
                 raise ValueError(f"line {lineno}: compressor before source")
@@ -432,7 +449,7 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
         elif op == "sort":
             kv = _kv_params(parts[1:], lineno)
             stage = SagnacStage(
-                float(kv.get("theta", math.pi / 4)), float(kv.get("phi", 0.0))
+                _kv_number(kv, "theta", math.pi / 4, lineno), _kv_number(kv, "phi", 0.0, lineno)
             )
             if state is None:
                 raise ValueError(f"line {lineno}: sort before source")
@@ -458,10 +475,10 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
         elif op == "herald":
             kv = _kv_params(parts[1:], lineno)
             port = kv.get("port", "A")
-            try:
-                n, m = (int(v) for v in kv.get("mode", "0,0").split(","))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad herald mode") from None
+            mode = kv.get("mode", "0,0").split(",")
+            if len(mode) != 2:
+                raise ValueError(f"line {lineno}: bad herald mode")
+            n, m = (formats.parse_number(v, lineno, int) for v in mode)
             if sort_result is None:
                 raise ValueError(f"line {lineno}: herald before sort")
             herald_result = Q.herald(sort_result, port, HGIndex(n, m))

@@ -7,18 +7,33 @@ comments, and scaling rules are fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
 import numpy as np
 
-from .modes import BeamGeometry, GridField, HGIndex, ModeExpansion
+from .modes import BeamGeometry, HGIndex, ModeExpansion
 
 PGM_MAXVAL = 65535
 
 
 def fmt_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def parse_number(text: str, lineno: int, kind=float, expected: str | None = None):
+    """One number (``float`` or ``int``) read from line ``lineno`` of an
+    input file; a malformed or non-finite value is a ValueError naming the
+    line and, if given, the ``expected`` form."""
+    try:
+        value = kind(text)
+    except ValueError:
+        expected = expected or ("an integer" if kind is int else "a number")
+        raise ValueError(f"line {lineno}: expected {expected}, got '{text}'") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"line {lineno}: '{text}' is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +63,13 @@ def parse_expansion(text: str) -> ModeExpansion:
                 raise ValueError(
                     f"line {lineno}: expected header 'hg-expansion v1 w0=<meters>'"
                 )
-            header = float(m.group(1))
+            header = parse_number(m.group(1), lineno)
             continue
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'n m re im'")
-        try:
-            n, m_ = int(parts[0]), int(parts[1])
-            re_part, im_part = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        n, m_ = (parse_number(p, lineno, int) for p in parts[:2])
+        re_part, im_part = (parse_number(p, lineno) for p in parts[2:])
         key = HGIndex(n, m_)
         terms[key] = terms.get(key, 0j) + complex(re_part, im_part)
     if header is None:
@@ -88,17 +100,10 @@ def scale_to_levels(data: np.ndarray) -> np.ndarray:
     return np.clip(levels, 0, PGM_MAXVAL).astype(np.uint16)
 
 
-def intensity_levels(field: GridField) -> np.ndarray:
-    """16-bit intensity image rows (top row = largest y)."""
-    inten = np.abs(field.values) ** 2
-    return scale_to_levels(inten)[::-1]
-
-
-def phase_levels(field: GridField) -> np.ndarray:
-    """16-bit phase image rows mapping [-pi, pi) onto [0, 65535]."""
-    ph = np.angle(field.values)
-    levels = np.floor((ph + math.pi) / (2.0 * math.pi) * (PGM_MAXVAL + 1))
-    return np.clip(levels, 0, PGM_MAXVAL).astype(np.uint16)[::-1]
+def phase_levels(phase: np.ndarray) -> np.ndarray:
+    """16-bit levels mapping phases in [-pi, pi] onto [0, 65535]."""
+    levels = np.floor((phase + math.pi) / (2.0 * math.pi) * (PGM_MAXVAL + 1))
+    return np.clip(levels, 0, PGM_MAXVAL).astype(np.uint16)
 
 
 def pgm_bytes(levels: np.ndarray) -> bytes:
@@ -115,11 +120,190 @@ def ppm_bytes(levels: np.ndarray) -> bytes:
     return header + rgb.astype(">u2").tobytes()
 
 
+# ---------------------------------------------------------------------------
+# CSV matrices: an exact vectorised '%.17g'
+# ---------------------------------------------------------------------------
+#
+# Each value v with 1e-280 <= |v| <= 1e280 is written from its 17
+# significant digits D = round(|v| * 10^(16-k)), 10^16 <= D < 10^17, where
+# k is the decimal exponent.  10^(16-k) is an exact double-double, so the
+# product is known to ~1e-14 in units of D: the integer part is exact and
+# the rounding is read off the low word.  A lane whose fraction is within
+# _TIE_MARGIN of one half, and every nonzero lane outside that range or not
+# finite, is formatted by '%' instead.  The text is laid out from a
+# per-lane row of candidate bytes (sign, "0.000" prefix, each digit
+# followed by a possible decimal point, exponent, separator) by keeping the
+# columns the '%g' layout of that lane needs, in order.
+
+_CSV_MIN, _CSV_MAX = 1e-280, 1e280
+_POW10_MIN, _POW10_MAX = -270, 300  # covers 16 - k for every k the range gives
+_TIE_MARGIN = 1e-6  # far above the ~1e-14 error of the product
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+
+# Candidate byte columns of one lane.  Digit i sits at _digit_col(i) and a
+# possible decimal point right after it; the 16 digits after the leading
+# one are written as four 8-byte "d.d.d.d." groups.
+_MINUS, _ZERO, _ZERO_DOT, _ZEROS, _LEAD, _GROUPS = 0, 1, 2, 3, 6, 8
+_EXP_E, _EXP_SIGN, _EXP_HUNDREDS, _EXP_TENS, _SEP = 41, 42, 43, 44, 46
+_LANE_WIDTH = 48
+
+# Layout classes: '%g' fixed notation for exponents -4..16, scientific
+# notation with a two- or three-digit exponent, and zero.
+_FIXED_MIN, _FIXED_MAX = -4, 16
+_SCI2, _SCI3, _ZERO_CLASS = 21, 22, 23
+_CLASSES = 24
+_K_OFFSET = 300
+
+
+def _digit_col(i: int) -> int:
+    return _LEAD if i == 0 else _GROUPS + 2 * (i - 1)
+
+
+def _lane_columns(negative: bool, cls: int, sig: int) -> list[int]:
+    """Columns kept for a lane of layout class ``cls`` with ``sig``
+    significant digits (trailing zeros removed), in output order."""
+    cols = [_MINUS] if negative else []
+    digits = [_digit_col(i) for i in range(sig)]
+    if cls == _ZERO_CLASS:
+        cols.append(_ZERO)
+    elif cls < _SCI2:
+        exp = cls + _FIXED_MIN
+        if exp < 0:
+            cols += [_ZERO, _ZERO_DOT] + list(range(_ZEROS, _ZEROS - exp - 1)) + digits
+        else:
+            cols += [_digit_col(i) for i in range(exp + 1)]
+            if sig > exp + 1:
+                cols += [_digit_col(exp) + 1] + digits[exp + 1 :]
+    else:
+        cols += digits[:1] + ([_LEAD + 1] + digits[1:] if sig > 1 else [])
+        cols += [_EXP_E, _EXP_SIGN] + ([_EXP_HUNDREDS] if cls == _SCI3 else [])
+        cols += [_EXP_TENS, _EXP_TENS + 1]
+    return cols + [_SEP]
+
+
+@functools.cache
+def _csv_tables():
+    """Tables of the CSV kernel, built on first use."""
+    hi, lo = [], []
+    for e in range(_POW10_MIN, _POW10_MAX + 1):
+        if e >= 0:
+            h = float(10**e)
+            lo.append(float(10**e - int(h)))
+        else:
+            den = 10**-e
+            h = 1 / den
+            num, pow2 = h.as_integer_ratio()
+            lo.append((pow2 - num * den) / (pow2 * den))
+        hi.append(h)
+    keep = np.zeros((2, _CLASSES, 17, _LANE_WIDTH), dtype=bool)
+    for negative in (0, 1):
+        for cls in range(_CLASSES):
+            for sig in range(1, 18):
+                keep[negative, cls, sig - 1, _lane_columns(negative, cls, sig)] = True
+
+    quad = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    groups = np.full((10000, 8), ord("."), dtype=np.uint8)
+    groups[:, ::2] = quad + ord("0")
+    trailing = np.argmax(quad[:, ::-1] != 0, axis=1)
+    trailing[0] = 4
+    lead = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.", dtype=np.uint16)
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype=np.uint16)
+    classes = np.array([
+        k - _FIXED_MIN if _FIXED_MIN <= k <= _FIXED_MAX else _SCI2 if abs(k) < 100 else _SCI3
+        for k in range(-_K_OFFSET, _K_OFFSET + 1)
+    ])
+    blank = np.zeros(_LANE_WIDTH, dtype=np.uint8)
+    blank[[_MINUS, _ZERO, _ZERO_DOT, _EXP_E, _SEP]] = list(b"-0.e,")
+    blank[_ZEROS : _ZEROS + 3] = ord("0")
+    return (np.array(hi), np.array(lo), keep.reshape(-1, _LANE_WIDTH), groups.view(np.uint64).ravel(),
+            lead, pairs, trailing, classes, blank)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _digits(a: np.ndarray, k: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """D = round(a * 10^(16-k)), the distance of a * 10^(16-k) from D,
+    and whether a * 10^(16-k) < 10^16."""
+    e = 16 - k - _POW10_MIN
+    t = hi[e]
+    p = a * t
+    ah, al = _split(a)
+    th, tl = _split(t)
+    low = (((ah * th - p) + ah * tl + al * th) + al * tl) + a * lo[e]
+    r = np.rint(low)
+    base = p.astype(np.int64)
+    below = base + np.floor(low).astype(np.int64) < 10**16
+    return base + r.astype(np.int64), np.abs(low - r), below
+
+
 def csv_matrix(data: np.ndarray) -> str:
-    rows = []
-    for row in data:
-        rows.append(",".join(fmt_float(float(v)) for v in row))
-    return "\n".join(rows) + "\n"
+    """Rows of comma-separated ``'%.17g'`` values, each row ended by a newline."""
+    data = np.asarray(data, dtype=float)
+    if not data.size:
+        return "\n" * max(len(data), 1)
+    hi, lo, keep_table, groups, lead_chars, pairs, trailing, classes, blank = _csv_tables()
+    width = data.shape[1]
+    v = data.ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= _CSV_MIN) & (a <= _CSV_MAX)
+    zero = a == 0.0
+    a = np.where(fast, a, 1.0)
+
+    # Decimal exponent k: log10 can be off by one next to a power of ten;
+    # such lanes are redone with the neighbouring exponent, and a D that
+    # rounds up to 10^17 is 10^16 with the next exponent.
+    k = np.floor(np.log10(a)).astype(np.int64)
+    d, dist, below = _digits(a, k, hi, lo)
+    redo = np.flatnonzero(fast & (below | (d >= 10**17)))
+    if redo.size:
+        k[redo] += np.where(below[redo], -1, 1)
+        d[redo], dist[redo], _ = _digits(a[redo], k[redo], hi, lo)
+    top = d == 10**17
+    d[top] = 10**16
+    k[top] += 1
+    fast &= (dist < 0.5 - _TIE_MARGIN) & (d >= 10**16) & (d < 10**17)
+    slow = np.flatnonzero(~fast & ~zero)
+    d[~fast] = 10**16
+    k[~fast] = 0
+
+    lanes = np.empty((n, _LANE_WIDTH), dtype=np.uint8)
+    lanes[:] = blank
+    lanes[width - 1 :: width, _SEP] = ord("\n")
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    eight = np.stack((upper, lower), axis=1)
+    high4 = eight // 10000
+    quads = np.stack((high4, eight - high4 * 10000), axis=2).reshape(n, 4)
+    lanes.view(np.uint16)[:, _LEAD // 2] = lead_chars[lead]
+    lanes.view(np.uint64)[:, _GROUPS // 8 : _GROUPS // 8 + 4] = groups[quads]
+    exp = np.abs(k)
+    lanes[:, _EXP_SIGN] = np.where(k < 0, ord("-"), ord("+"))
+    lanes[:, _EXP_HUNDREDS] = exp // 100 + ord("0")
+    lanes.view(np.uint16)[:, _EXP_TENS // 2] = pairs[exp % 100]
+
+    # Trailing zeros of D; a lane needs the next group only when every
+    # group after it is zero.
+    zeros = trailing[quads[:, 3]]
+    for j in (2, 1, 0):
+        more = np.flatnonzero(zeros == 4 * (3 - j))
+        if not more.size:
+            break
+        zeros[more] += trailing[quads[more, j]]
+    cls = classes[k + _K_OFFSET]
+    cls[zero] = _ZERO_CLASS
+    keep = keep_table[(np.signbit(v) * _CLASSES + cls) * 17 + 16 - zeros]
+    for i in slow.tolist():
+        text = ("%.17g" % v[i]).encode("ascii")
+        lanes[i, : len(text)] = list(text)
+        keep[i, :_SEP] = np.arange(_SEP) < len(text)
+    return np.compress(keep.ravel(), lanes.ravel()).tobytes().decode("ascii")
 
 
 def parse_pnm(blob: bytes) -> tuple[str, int, int, int, np.ndarray]:

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .formats import parse_number
 from .geometry import omega_from_theta, psi_from_omega, theta_for_psi
 from .modes import (
     LGIndex,
@@ -234,10 +235,9 @@ def parse_network(text: str) -> CascadeNode:
             continue
         parts = line.split()
         if parts[0] == "tree":
-            try:
-                (tree_depth,) = (int(v) for v in parts[1:])
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected 'tree <depth>'") from None
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 'tree <depth>'")
+            tree_depth = parse_number(parts[1], lineno, int, "'tree <depth>'")
         elif parts[0] == "stage":
             if len(parts) != 4:
                 raise ValueError(
@@ -251,7 +251,7 @@ def parse_network(text: str) -> CascadeNode:
                 if "=" not in tok:
                     raise ValueError(f"line {lineno}: malformed parameter '{tok}'")
                 key, val = tok.split("=", 1)
-                kv[key] = float(val)
+                kv[key] = parse_number(val, lineno)
             if set(kv) != {"theta", "phi"}:
                 raise ValueError(f"line {lineno}: stage needs theta= and phi=")
             stages[name] = SagnacStage(kv["theta"], kv["phi"])

@@ -87,13 +87,22 @@ class BeamGeometry:
             raise ValueError("wavelength must be positive")
 
 
-def _check_index(idx: HGIndex) -> HGIndex:
+def _check_index(idx) -> HGIndex:
+    if not all(isinstance(v, (int, np.integer)) for v in idx):
+        raise ValueError(f"HG indices must be integers, got {tuple(idx)}")
     idx = HGIndex(int(idx[0]), int(idx[1]))
     if idx.n < 0 or idx.m < 0:
         raise ValueError(f"HG indices must be nonnegative, got {idx}")
     if idx.order > MAX_ORDER:
         raise ValueError(f"order too large: n+m={idx.order} exceeds {MAX_ORDER}")
     return idx
+
+
+def _check_norm(state) -> None:
+    """Reject a state whose squared norm overflows, which would make every
+    power computed from it nan."""
+    if not math.isfinite(state.norm_sq()):
+        raise ValueError("state norm is not finite: amplitudes too large")
 
 
 def hermite_gauss_ladder(nmax: int, x, w0: float) -> np.ndarray:
@@ -164,6 +173,7 @@ class ModeExpansion:
                 self.blocks[idx.order][idx.n] = amp
         for block in self.blocks.values():
             block.setflags(write=False)
+        _check_norm(self)
         self.geometry = geometry
 
     def _with_blocks(self, blocks) -> "ModeExpansion":

@@ -30,6 +30,7 @@ from typing import IO
 
 import numpy as np
 
+from .formats import parse_number
 from .interferometer import SagnacStage
 from .modes import (
     MAX_ORDER,
@@ -38,6 +39,7 @@ from .modes import (
     LGIndex,
     ModeExpansion,
     _check_index,
+    _check_norm,
     rotation_matrix,
 )
 
@@ -81,6 +83,7 @@ class BiphotonExpansion:
                 self.blocks[a.order, b.order][a.n, b.n] = amp
         for block in self.blocks.values():
             block.setflags(write=False)
+        _check_norm(self)
         pol = dict(polarization) if polarization is not None else bell_polarization()
         for k in pol:
             if k not in POLARIZATION_KEYS:
@@ -218,11 +221,8 @@ def load_biphoton_table(
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"line {lineno}: expected 'j k s t re im'")
-        try:
-            j, k, s, t = (int(p) for p in parts[:4])
-            re_part, im_part = float(parts[4]), float(parts[5])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        j, k, s, t = (parse_number(p, lineno, int) for p in parts[:4])
+        re_part, im_part = (parse_number(p, lineno) for p in parts[4:])
         if min(j, k, s, t) < 0:
             raise ValueError(f"line {lineno}: negative mode index")
         if max(j + k, s + t) > MAX_ORDER:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sagnacsim import cli
 from sagnacsim import formats as F
 from sagnacsim.cli import main
+from test_formats import reference_csv
 
 
 def read(path):
@@ -120,6 +122,42 @@ def test_mode_ppm_and_csv_formats(tmp_path, capsys):
     assert len(text.strip().split("\n")) == 256
 
 
+# Grid 16 is one band; 130 and 258 split into 2 and 5 bands, the last short.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, bands", [(16, 1), (130, 2), (258, 5)])
+def test_csv_images_match_reference_across_bands(tmp_path, capsys, monkeypatch, grid, bands):
+    rows = max(1, cli.CSV_BAND_VALUES // grid)
+    assert -(-grid // rows) == bands
+    commands = (
+        ("mode", "hg:1,1", "--phase"),
+        ("sort", "hg:1,1", "--theta", "1.0"),
+        ("interfere", "hg:1,0"),
+    )
+
+    def run_all(out, fmt):
+        for argv in commands:
+            code, _, err = run(
+                capsys, "--out-dir", str(out), "--grid-size", str(grid), "--format", fmt, *argv
+            )
+            assert (code, err) == (0, "")
+
+    run_all(tmp_path / "csv", "csv")
+    run_all(tmp_path / "pgm", "pgm")
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "csv_matrix", reference_csv)
+        run_all(tmp_path / "ref", "csv")
+    paths = sorted((tmp_path / "csv").glob("*.csv"))
+    assert len(paths) == 5
+    for path in paths:
+        text = path.read_text()
+        assert text == (tmp_path / "ref" / path.name).read_text()
+        # The bands hold the rows the unbanded image writer renders.
+        values = np.array([[float(v) for v in row.split(",")] for row in text.splitlines()])
+        to_levels = F.phase_levels if path.stem.endswith("_phase") else F.scale_to_levels
+        _, _, _, _, levels = F.parse_pnm(read(tmp_path / "pgm" / f"{path.stem}.pgm"))
+        assert np.array_equal(levels, to_levels(values))
+
+
 def test_metadata_sidecar(tmp_path, capsys):
     run(capsys, "--out-dir", str(tmp_path), "mode", "hg:0,0")
     meta = (tmp_path / "metadata.txt").read_text()
@@ -161,8 +199,18 @@ def test_sort_partial_ports_render_unthresholded(tmp_path, capsys):
     )
     grid = M.GridSpec(8.0, 256)
     for port, state in (("portA", pair.port_a), ("portB", pair.port_b)):
-        want = F.pgm_bytes(F.intensity_levels(M.sample_mode(state, grid)))
+        field = M.sample_mode(state, grid)
+        want = F.pgm_bytes(F.scale_to_levels(np.abs(field.values[::-1]) ** 2))
         assert read(tmp_path / f"hg_1_1_{port}_intensity.pgm") == want
+
+
+def test_sort_overflowing_state_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.hgx"
+    path.write_text("hg-expansion v1 w0=1\n0 0 1e308 1e308\n")
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "sort", str(path))
+    assert code == 3
+    assert err == "error: state norm is not finite: amplitudes too large\n"
+    assert "nan" not in out
 
 
 def test_sort_hg45_report(tmp_path, capsys):
@@ -385,6 +433,38 @@ def test_cascade_bad_l_list_exits_2(tmp_path, capsys):
         assert f"usage error: bad l list entry '{chunk}'" in err
 
 
+def test_cascade_network_rejects_non_finite_numbered(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    for value in ("nan", "inf"):
+        net.write_text(f"# stage\nstage s theta={value} phi=0\n")
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "cascade", "--network", str(net))
+        assert code == 3
+        assert err == f"error: line 2: '{value}' is not finite\n"
+
+
+def test_cascade_l_list_bounded_while_parsing(tmp_path, capsys, monkeypatch):
+    def no_range(*args):
+        raise AssertionError("a range was expanded before the checks")
+
+    full = f"-{cli.MAX_ORDER}..{cli.MAX_ORDER}"  # 341 values
+    past_cap = ",".join([full] * 3 + ["0", "1"])
+    assert 3 * (2 * cli.MAX_ORDER + 1) + 2 == cli.MAX_L_VALUES + 1
+    cases = (
+        (f"--l=0..{cli.MAX_ORDER + 1}", f"'0..{cli.MAX_ORDER + 1}' goes beyond |l| = 170"),
+        (f"--l={-cli.MAX_ORDER - 1}", f"'{-cli.MAX_ORDER - 1}' goes beyond |l| = 170"),
+        (f"--l={past_cap}", "holds 1025 values, more than 1024"),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "range", no_range, raising=False)
+        for arg, message in cases:
+            code, _, err = run(capsys, "--out-dir", str(tmp_path), "cascade", arg)
+            assert code == 2
+            assert message in err
+    at_cap = cli._parse_l_list(",".join([full] * 3 + ["0"]))
+    assert len(at_cap) == cli.MAX_L_VALUES
+    assert at_cap[:2] == [-cli.MAX_ORDER, -cli.MAX_ORDER + 1]
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -452,6 +532,21 @@ def test_pipeline_script_error_numbered(tmp_path, capsys):
     code, _, err = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
     assert code == 3
     assert "line 2" in err
+
+
+def test_pipeline_numbers_numbered(tmp_path, capsys):
+    cases = (
+        ("source hg00\nfilter\nsort theta=abc\n", "line 3: expected a number, got 'abc'"),
+        ("source hg45\nfilter\ncompressor axis=inf\n", "line 3: 'inf' is not finite"),
+        ("source hg45\n\nsort phi=nan\n", "line 3: 'nan' is not finite"),
+        ("source hg45\nfilter\nsort\nherald mode=0,x\n", "line 4: expected an integer, got 'x'"),
+    )
+    script = tmp_path / "bad.pipe"
+    for text, message in cases:
+        script.write_text(text)
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
+        assert code == 3
+        assert err == f"error: {message}\n"
 
 
 def test_pipeline_unknown_name_exits_2(tmp_path, capsys):

@@ -459,6 +459,21 @@ def test_expansion_rejects_bad_index_before_allocating():
         M.ModeExpansion({(0, 10**12): 1.0}, GEOM)
 
 
+def test_expansion_rejects_non_integer_index():
+    for idx in ((1.5, 0.9), (1.0, 0), (0, np.float64(2.0))):
+        with pytest.raises(ValueError, match="HG indices must be integers"):
+            M.ModeExpansion({idx: 1.0}, GEOM)
+    e = M.ModeExpansion({(np.int64(1), np.int32(2)): 1.0, (True, 0): 0.5}, GEOM)
+    assert dict(e.terms) == {M.HGIndex(1, 2): 1.0, M.HGIndex(1, 0): 0.5}
+
+
+def test_expansion_rejects_overflowing_norm():
+    for terms in ({(0, 0): complex(1e308, 1e308)}, {(0, 0): 1e200, (3, 1): 1e200}):
+        with pytest.raises(ValueError, match="state norm is not finite"):
+            M.ModeExpansion(terms, GEOM)
+    assert M.ModeExpansion({(0, 0): 2.0**500}, GEOM).norm_sq() == 2.0**1000
+
+
 def reference_evaluate(expansion, x, y):
     """Per-term field sum, the loop the block contraction replaced."""
     out = np.zeros(np.broadcast(x, y).shape, dtype=complex)

@@ -183,6 +183,15 @@ def test_biphoton_rejects_bad_index_before_allocating():
         Q.BiphotonExpansion({((0, 0), (10**12, 0)): 1})
 
 
+def test_biphoton_rejects_non_integer_index_and_overflow():
+    with pytest.raises(ValueError, match="HG indices must be integers"):
+        Q.BiphotonExpansion({((1.5, 0), (0, 0)): 1})
+    with pytest.raises(ValueError, match="state norm is not finite"):
+        Q.BiphotonExpansion({((0, 0), (0, 0)): complex(1e308, 1e308)})
+    with pytest.raises(ValueError, match="line 2: 'inf' is not finite"):
+        Q.load_biphoton_table("biphoton v1\n0 0 0 0 inf 0\n")
+
+
 def test_biphoton_terms_are_read_only_and_drop_zeros():
     b = Q.BiphotonExpansion({((1, 0), (0, 0)): 0.5, ((0, 1), (0, 0)): 0.0})
     assert dict(b.terms) == {(M.HGIndex(1, 0), M.HGIndex(0, 0)): 0.5}

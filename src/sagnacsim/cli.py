@@ -105,7 +105,7 @@ PRESETS = {
 }
 
 
-def parse_mode_spec(spec: str, geom: BeamGeometry, grid: GridSpec) -> ModeExpansion:
+def parse_mode_spec(spec: str, geom: BeamGeometry) -> ModeExpansion:
     """Resolve ``hg:n,m``, ``lg:p,l``, a preset name, or an expansion file."""
     if spec in PRESETS:
         return PRESETS[spec](geom)
@@ -146,7 +146,9 @@ def _image_paths(args, stem: str, kind: str) -> str:
 
 def _emit_image(args, path: str, raw: np.ndarray, to_levels) -> None:
     """Write ``raw`` (top row first) as CSV values, or as the image of
-    ``to_levels(raw)``."""
+    ``to_levels(raw)``; an image with a non-finite value is refused."""
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{path}: image values are not finite; not written")
     if args.format == "csv":
         rows = max(1, CSV_BAND_VALUES // raw.shape[1])
         with open(path, "w", encoding="ascii") as fh:
@@ -185,7 +187,7 @@ def _geometry_and_grid(args) -> tuple[BeamGeometry, GridSpec]:
 def cmd_mode(args) -> int:
     geom, grid = _geometry_and_grid(args)
     stem = _stem(args.spec)
-    field = sample_mode(parse_mode_spec(args.spec, geom, grid), grid)
+    field = sample_mode(parse_mode_spec(args.spec, geom), grid)
     path = _image_paths(args, stem, "intensity")
     _emit_image(args, path, np.abs(field.values[::-1]) ** 2, formats.scale_to_levels)
     print(f"wrote {path}")
@@ -199,7 +201,7 @@ def cmd_mode(args) -> int:
 
 def cmd_sort(args) -> int:
     geom, grid = _geometry_and_grid(args)
-    expansion = parse_mode_spec(args.spec, geom, grid)
+    expansion = parse_mode_spec(args.spec, geom)
     stage = SagnacStage(args.theta, args.phi)
     pair = sagnac_transfer(expansion, stage)
     pa, pb = port_powers(pair)
@@ -220,9 +222,9 @@ def cmd_interfere(args) -> int:
     geom, grid = _geometry_and_grid(args)
     if args.tilt < 0:
         raise UsageError("tilt must be nonnegative")
-    expansion = parse_mode_spec(args.spec, geom, grid)
+    expansion = parse_mode_spec(args.spec, geom)
     ref_spec = args.reference if args.reference is not None else args.spec
-    reference = parse_mode_spec(ref_spec, geom, grid)
+    reference = parse_mode_spec(ref_spec, geom)
 
     # Sorter output is the input rotated by 90 degrees.
     output = expansion if args.no_output_rotation else rotate_exact(
@@ -323,7 +325,7 @@ def _parse_l_list(text: str) -> list[int]:
 
 
 def cmd_cascade(args) -> int:
-    geom, grid = _geometry_and_grid(args)
+    geom, _grid = _geometry_and_grid(args)
     if args.network is not None:
         with open(args.network, "r", encoding="ascii") as fh:
             root = parse_network(fh.read())
@@ -331,7 +333,7 @@ def cmd_cascade(args) -> int:
         root = cascade_build(args.depth)
     rows = ["input_label,leaf_label,power_fraction"]
     if args.input is not None:
-        expansion = parse_mode_spec(args.input, geom, grid)
+        expansion = parse_mode_spec(args.input, geom)
         leaves = cascade_route(root, expansion)
         label = _stem(args.input)
         for leaf in leaves:
@@ -378,18 +380,8 @@ herald port=A mode=0,0
 }
 
 
-def _kv_params(parts: list[str], lineno: int) -> dict[str, str]:
-    kv = {}
-    for tok in parts:
-        if "=" not in tok:
-            raise ValueError(f"line {lineno}: malformed parameter '{tok}'")
-        key, val = tok.split("=", 1)
-        kv[key] = val
-    return kv
-
-
-def _kv_number(kv: dict[str, str], key: str, default: float, lineno: int) -> float:
-    return formats.parse_number(kv[key], lineno) if key in kv else default
+def _kv_number(kv: dict[str, str], key: str, default: float) -> float:
+    return formats.parse_number(kv[key]) if key in kv else default
 
 
 def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
@@ -400,117 +392,113 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
     herald_result = None
     geom = Q.DEFAULT_GEOMETRY
 
-    for lineno, raw in enumerate(script.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        op = parts[0]
-        if op == "source":
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: source needs an argument")
-            if parts[1] == "hg00":
-                state = Q.spdc_hg00(
-                    overrides.get("c0", Q.DEFAULT_C0),
-                    overrides.get("c1", Q.DEFAULT_C1),
-                    overrides.get("c2", Q.DEFAULT_C2),
+    for lineno, parts in formats.numbered_lines(script):
+        with formats.at_line(lineno):
+            op = parts[0]
+            if op == "source":
+                if len(parts) < 2:
+                    raise ValueError("source needs an argument")
+                if parts[1] == "hg00":
+                    state = Q.spdc_hg00(
+                        overrides.get("c0", Q.DEFAULT_C0),
+                        overrides.get("c1", Q.DEFAULT_C1),
+                        overrides.get("c2", Q.DEFAULT_C2),
+                    )
+                elif parts[1] == "hg45":
+                    state = Q.spdc_hg45(overrides.get("c1", Q.DEFAULT_C1))
+                elif parts[1] == "table":
+                    if len(parts) != 3:
+                        raise ValueError("source table needs a path")
+                    try:
+                        with open(parts[2], "r", encoding="ascii") as fh:
+                            state = Q.load_biphoton_table(fh)
+                    except (OSError, ValueError) as exc:
+                        raise ValueError(f"{parts[2]}: {exc}") from exc
+                else:
+                    raise ValueError(f"unknown source '{parts[1]}'")
+                report.append(
+                    f"source {parts[1]}: norm2={formats.fmt_float(state.norm_sq())}"
+                    f" terms={len(state.terms)}"
                 )
-            elif parts[1] == "hg45":
-                state = Q.spdc_hg45(overrides.get("c1", Q.DEFAULT_C1))
-            elif parts[1] == "table":
-                if len(parts) != 3:
-                    raise ValueError(f"line {lineno}: source table needs a path")
-                with open(parts[2], "r", encoding="ascii") as fh:
-                    state = Q.load_biphoton_table(fh)
+            elif op == "filter":
+                if state is None:
+                    raise ValueError("filter before source")
+                state, prob = Q.fiber_filter_biphoton(state)
+                report.append(f"filter: post_selection={formats.fmt_float(prob)}")
+            elif op == "compressor":
+                kv = formats.key_values(parts[1:])
+                spec = Q.CompressorSpec(
+                    axis_angle=_kv_number(kv, "axis", math.pi / 2),
+                    retardance=_kv_number(kv, "retardance", math.pi / 2),
+                )
+                if state is None:
+                    raise ValueError("compressor before source")
+                state = Q.compressor_apply(state, spec)
+                report.append(
+                    f"compressor: axis={formats.fmt_float(spec.axis_angle)}"
+                    f" retardance={formats.fmt_float(spec.retardance)}"
+                )
+            elif op == "sort":
+                kv = formats.key_values(parts[1:])
+                stage = SagnacStage(_kv_number(kv, "theta", math.pi / 4), _kv_number(kv, "phi", 0.0))
+                if state is None:
+                    raise ValueError("sort before source")
+                sort_result = Q.sort_biphoton(state, stage)
+                probs = " ".join(
+                    f"P_{k}={formats.fmt_float(v.probability)}"
+                    for k, v in sorted(sort_result.branches.items())
+                )
+                report.append(
+                    f"sort: theta={formats.fmt_float(stage.theta)}"
+                    f" phi={formats.fmt_float(stage.phi)} {probs}"
+                )
+            elif op == "select":
+                if len(parts) != 2 or parts[1] not in ("AA", "AB", "BA", "BB"):
+                    raise ValueError("select needs AA|AB|BA|BB")
+                if sort_result is None:
+                    raise ValueError("select before sort")
+                prob = sort_result.probability(parts[1])
+                state = sort_result.state(parts[1])
+                report.append(f"select {parts[1]}: probability={formats.fmt_float(prob)}")
+            elif op == "herald":
+                kv = formats.key_values(parts[1:])
+                port = kv.get("port", "A")
+                mode = kv.get("mode", "0,0").split(",")
+                if len(mode) != 2:
+                    raise ValueError("bad herald mode")
+                n, m = (formats.parse_number(v, int) for v in mode)
+                if sort_result is None:
+                    raise ValueError("herald before sort")
+                herald_result = Q.herald(sort_result, port, HGIndex(n, m))
+                report.append(
+                    f"herald port={port} mode={n},{m}:"
+                    f" probability={formats.fmt_float(herald_result.probability)}"
+                )
+                for ref_name, ref in (
+                    ("hg45", _preset_hg45(geom)),
+                    ("lg+1", lg_to_hg(LGIndex(0, 1), geom)),
+                    ("lg-1", lg_to_hg(LGIndex(0, -1), geom)),
+                ):
+                    ov = abs(ref.inner(herald_result.spatial))
+                    report.append(f"  overlap {ref_name}={ov:.9f}")
+            elif op == "schmidt":
+                if state is None:
+                    raise ValueError("schmidt before a state exists")
+                coeffs = Q.schmidt_coefficients(state)
+                inside = ", ".join(f"{c:.7f}" for c in coeffs)
+                report.append(f"schmidt: ({inside})")
+            elif op == "pbs-split":
+                if state is None:
+                    raise ValueError("pbs-split before a state exists")
+                rep = Q.pbs_split_bell(state)
+                inside = ", ".join(f"{c:.7f}" for c in rep.spatial_schmidt)
+                report.append(
+                    f"pbs-split: success={formats.fmt_float(rep.pbs_success_probability)}"
+                    f" bs_coincidence={formats.fmt_float(rep.bs_coincidence_probability)}"
+                    f" spatial_schmidt=({inside})"
+                )
             else:
-                raise ValueError(f"line {lineno}: unknown source '{parts[1]}'")
-            report.append(
-                f"source {parts[1]}: norm2={formats.fmt_float(state.norm_sq())}"
-                f" terms={len(state.terms)}"
-            )
-        elif op == "filter":
-            if state is None:
-                raise ValueError(f"line {lineno}: filter before source")
-            state, prob = Q.fiber_filter_biphoton(state)
-            report.append(f"filter: post_selection={formats.fmt_float(prob)}")
-        elif op == "compressor":
-            kv = _kv_params(parts[1:], lineno)
-            spec = Q.CompressorSpec(
-                axis_angle=_kv_number(kv, "axis", math.pi / 2, lineno),
-                retardance=_kv_number(kv, "retardance", math.pi / 2, lineno),
-            )
-            if state is None:
-                raise ValueError(f"line {lineno}: compressor before source")
-            state = Q.compressor_apply(state, spec)
-            report.append(
-                f"compressor: axis={formats.fmt_float(spec.axis_angle)}"
-                f" retardance={formats.fmt_float(spec.retardance)}"
-            )
-        elif op == "sort":
-            kv = _kv_params(parts[1:], lineno)
-            stage = SagnacStage(
-                _kv_number(kv, "theta", math.pi / 4, lineno), _kv_number(kv, "phi", 0.0, lineno)
-            )
-            if state is None:
-                raise ValueError(f"line {lineno}: sort before source")
-            sort_result = Q.sort_biphoton(state, stage)
-            probs = " ".join(
-                f"P_{k}={formats.fmt_float(v.probability)}"
-                for k, v in sorted(sort_result.branches.items())
-            )
-            report.append(
-                f"sort: theta={formats.fmt_float(stage.theta)}"
-                f" phi={formats.fmt_float(stage.phi)} {probs}"
-            )
-        elif op == "select":
-            if len(parts) != 2 or parts[1] not in ("AA", "AB", "BA", "BB"):
-                raise ValueError(f"line {lineno}: select needs AA|AB|BA|BB")
-            if sort_result is None:
-                raise ValueError(f"line {lineno}: select before sort")
-            prob = sort_result.probability(parts[1])
-            state = sort_result.state(parts[1])
-            report.append(
-                f"select {parts[1]}: probability={formats.fmt_float(prob)}"
-            )
-        elif op == "herald":
-            kv = _kv_params(parts[1:], lineno)
-            port = kv.get("port", "A")
-            mode = kv.get("mode", "0,0").split(",")
-            if len(mode) != 2:
-                raise ValueError(f"line {lineno}: bad herald mode")
-            n, m = (formats.parse_number(v, lineno, int) for v in mode)
-            if sort_result is None:
-                raise ValueError(f"line {lineno}: herald before sort")
-            herald_result = Q.herald(sort_result, port, HGIndex(n, m))
-            report.append(
-                f"herald port={port} mode={n},{m}:"
-                f" probability={formats.fmt_float(herald_result.probability)}"
-            )
-            for ref_name, ref in (
-                ("hg45", _preset_hg45(geom)),
-                ("lg+1", lg_to_hg(LGIndex(0, 1), geom)),
-                ("lg-1", lg_to_hg(LGIndex(0, -1), geom)),
-            ):
-                ov = abs(ref.inner(herald_result.spatial))
-                report.append(f"  overlap {ref_name}={ov:.9f}")
-        elif op == "schmidt":
-            if state is None:
-                raise ValueError(f"line {lineno}: schmidt before a state exists")
-            coeffs = Q.schmidt_coefficients(state)
-            inside = ", ".join(f"{c:.7f}" for c in coeffs)
-            report.append(f"schmidt: ({inside})")
-        elif op == "pbs-split":
-            if state is None:
-                raise ValueError(f"line {lineno}: pbs-split before a state exists")
-            rep = Q.pbs_split_bell(state)
-            inside = ", ".join(f"{c:.7f}" for c in rep.spatial_schmidt)
-            report.append(
-                f"pbs-split: success={formats.fmt_float(rep.pbs_success_probability)}"
-                f" bs_coincidence={formats.fmt_float(rep.bs_coincidence_probability)}"
-                f" spatial_schmidt=({inside})"
-            )
-        else:
-            raise ValueError(f"line {lineno}: unknown pipeline op '{op}'")
+                raise ValueError(f"unknown pipeline op '{op}'")
 
     if herald_result is not None:
         report.append("final heralded state:")
@@ -563,6 +551,13 @@ def cmd_pipeline(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+def finite_float(text: str) -> float:
+    try:
+        return formats.parse_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def grid_size(text: str) -> int:
     value = int(text)
     if value < 16 or value > MAX_GRID_SIZE or value % 2:
@@ -580,14 +575,14 @@ def _add_common_options(parser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument(
-        "--w0", type=float, default=default(1.0), help="beam waist radius"
+        "--w0", type=finite_float, default=default(1.0), help="beam waist radius"
     )
     parser.add_argument(
         "--grid-size", type=grid_size, default=default(256),
         help=f"samples per grid side (even, 16 to {MAX_GRID_SIZE})",
     )
     parser.add_argument(
-        "--half-width", type=float, default=default(None),
+        "--half-width", type=finite_float, default=default(None),
         help="grid half width (default 8*w0)",
     )
     parser.add_argument("--out-dir", default=default("."), help="output directory")
@@ -616,32 +611,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sort", help="split a mode over the two Sagnac ports", parents=[common])
     p.add_argument("spec")
-    p.add_argument("--theta", type=float, default=math.pi / 4)
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--theta", type=finite_float, default=math.pi / 4)
+    p.add_argument("--phi", type=finite_float, default=0.0)
     p.set_defaults(func=cmd_sort)
 
     p = sub.add_parser("interfere", help="render output-vs-reference interference", parents=[common])
     p.add_argument("spec")
     p.add_argument("--reference", default=None, help="reference mode spec")
     p.add_argument(
-        "--tilt", type=float, default=FORK_TILT_FRINGES,
+        "--tilt", type=finite_float, default=FORK_TILT_FRINGES,
         help="reference tilt in fringes across the window",
     )
     p.add_argument(
-        "--offset", type=float, nargs=2, default=None, metavar=("DX", "DY"),
+        "--offset", type=finite_float, nargs=2, default=None, metavar=("DX", "DY"),
         help="reference beam offset in units of w0",
     )
-    p.add_argument("--ref-phase", type=float, default=FORK_REF_PHASE)
+    p.add_argument("--ref-phase", type=finite_float, default=FORK_REF_PHASE)
     p.add_argument("--no-output-rotation", action="store_true")
     p.add_argument("--no-extra-mirror", action="store_true")
     p.add_argument("--analyze-fork", action="store_true")
-    p.add_argument("--cut", type=float, default=FORK_CUT_W0)
+    p.add_argument("--cut", type=finite_float, default=FORK_CUT_W0)
     p.set_defaults(func=cmd_interfere)
 
     p = sub.add_parser("sweep-theta", help="tabulate theta, omega, psi", parents=[common])
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--theta-max", type=float, default=math.pi / 2)
+    p.add_argument("--theta-min", type=finite_float, default=0.0)
+    p.add_argument("--theta-max", type=finite_float, default=math.pi / 2)
     p.add_argument("--output", default="sweep_theta.csv")
     p.set_defaults(func=cmd_sweep_theta)
 
@@ -655,9 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run a biphoton pipeline", parents=[common])
     p.add_argument("name", help="bell | herald | herald-lg | script file")
-    p.add_argument("--c0", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
+    p.add_argument("--c0", type=finite_float, default=None)
+    p.add_argument("--c1", type=finite_float, default=None)
+    p.add_argument("--c2", type=finite_float, default=None)
     p.set_defaults(func=cmd_pipeline)
     return parser
 
@@ -670,7 +665,10 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        return args.func(args)
+        # A render that overflows shows as non-finite values, which
+        # _emit_image refuses with a message instead of a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

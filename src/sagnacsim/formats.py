@@ -7,13 +7,14 @@ comments, and scaling rules are fixed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
 
 import numpy as np
 
-from .modes import BeamGeometry, HGIndex, ModeExpansion
+from .modes import BeamGeometry, HGIndex, ModeExpansion, _check_index
 
 PGM_MAXVAL = 65535
 
@@ -22,17 +23,46 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def parse_number(text: str, lineno: int, kind=float, expected: str | None = None):
-    """One number (``float`` or ``int``) read from line ``lineno`` of an
-    input file; a malformed or non-finite value is a ValueError naming the
-    line and, if given, the ``expected`` form."""
+def numbered_lines(text: str):
+    """``(lineno, fields)`` for each line of ``text`` that holds more than a
+    ``#`` comment; ``fields`` are its whitespace-separated words."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
+@contextlib.contextmanager
+def at_line(lineno: int):
+    """Re-raise any ValueError raised while line ``lineno`` of an input
+    file is handled as ``line <lineno>: <message>``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
+
+
+def key_values(fields: list[str]) -> dict[str, str]:
+    """The ``key=value`` fields of a line as a dict; a later key wins."""
+    kv = {}
+    for tok in fields:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"malformed parameter '{tok}'")
+        kv[key] = val
+    return kv
+
+
+def parse_number(text: str, kind=float, expected: str | None = None):
+    """One number (``float`` or ``int``); a malformed or non-finite value is
+    a ValueError naming, if given, the ``expected`` form."""
     try:
         value = kind(text)
     except ValueError:
         expected = expected or ("an integer" if kind is int else "a number")
-        raise ValueError(f"line {lineno}: expected {expected}, got '{text}'") from None
+        raise ValueError(f"expected {expected}, got '{text}'") from None
     if kind is float and not math.isfinite(value):
-        raise ValueError(f"line {lineno}: '{text}' is not finite")
+        raise ValueError(f"'{text}' is not finite")
     return value
 
 
@@ -51,30 +81,24 @@ def dump_expansion(e: ModeExpansion) -> str:
 
 def parse_expansion(text: str) -> ModeExpansion:
     """Parse the expansion text format; ``#`` comments allowed anywhere."""
-    header = None
+    geometry = None
     terms: dict[HGIndex, complex] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            m = re.fullmatch(r"hg-expansion v1 w0=(\S+)", line)
-            if not m:
-                raise ValueError(
-                    f"line {lineno}: expected header 'hg-expansion v1 w0=<meters>'"
-                )
-            header = parse_number(m.group(1), lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'n m re im'")
-        n, m_ = (parse_number(p, lineno, int) for p in parts[:2])
-        re_part, im_part = (parse_number(p, lineno) for p in parts[2:])
-        key = HGIndex(n, m_)
-        terms[key] = terms.get(key, 0j) + complex(re_part, im_part)
-    if header is None:
+    for lineno, fields in numbered_lines(text):
+        with at_line(lineno):
+            if geometry is None:
+                header = re.fullmatch(r"hg-expansion v1 w0=(\S+)", " ".join(fields))
+                if not header:
+                    raise ValueError("expected header 'hg-expansion v1 w0=<meters>'")
+                geometry = BeamGeometry(parse_number(header.group(1)))
+                continue
+            if len(fields) != 4:
+                raise ValueError("expected 'n m re im'")
+            key = _check_index([parse_number(p, int) for p in fields[:2]])
+            re_part, im_part = (parse_number(p) for p in fields[2:])
+            terms[key] = terms.get(key, 0j) + complex(re_part, im_part)
+    if geometry is None:
         raise ValueError("missing 'hg-expansion v1' header")
-    return ModeExpansion(terms, BeamGeometry(header))
+    return ModeExpansion(terms, geometry)
 
 
 def read_expansion(path) -> ModeExpansion:

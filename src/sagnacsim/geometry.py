@@ -201,11 +201,6 @@ def build_sagnac_path(theta: float) -> MirrorPath:
     )
 
 
-def omega_from_path(path: MirrorPath) -> float:
-    """Signed image rotation angle of a mirror path via its helicity loop."""
-    return signed_loop_area(helicity_from_path(path))
-
-
 def sweep_theta(count: int, lo: float = 0.0, hi: float = math.pi / 2):
     """Yield (theta, omega, psi) rows over a uniform theta grid."""
     if count < 2:

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .formats import parse_number
+from .formats import at_line, key_values, numbered_lines, parse_number
 from .geometry import omega_from_theta, psi_from_omega, theta_for_psi
 from .modes import (
     LGIndex,
@@ -49,6 +49,12 @@ class SagnacStage:
 
     theta: float
     phi: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError("theta must lie in [0, pi]")
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
 
     @cached_property
     def omega(self) -> float:
@@ -227,62 +233,50 @@ def parse_network(text: str) -> CascadeNode:
     reused children, and unknown names are rejected.
     """
     stages: dict[str, SagnacStage] = {}
-    routes: dict[tuple[str, str], str] = {}
-    tree_depth = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "tree":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'tree <depth>'")
-            tree_depth = parse_number(parts[1], lineno, int, "'tree <depth>'")
-        elif parts[0] == "stage":
-            if len(parts) != 4:
-                raise ValueError(
-                    f"line {lineno}: expected 'stage <name> theta=<rad> phi=<rad>'"
-                )
-            name = parts[1]
-            if name in stages:
-                raise ValueError(f"line {lineno}: duplicate stage '{name}'")
-            kv = {}
-            for tok in parts[2:]:
-                if "=" not in tok:
-                    raise ValueError(f"line {lineno}: malformed parameter '{tok}'")
-                key, val = tok.split("=", 1)
-                kv[key] = parse_number(val, lineno)
-            if set(kv) != {"theta", "phi"}:
-                raise ValueError(f"line {lineno}: stage needs theta= and phi=")
-            stages[name] = SagnacStage(kv["theta"], kv["phi"])
-        elif parts[0] == "route":
-            if len(parts) != 4 or parts[2] != "->":
-                raise ValueError(
-                    f"line {lineno}: expected 'route <parent>.<A|B> -> <child>'"
-                )
-            parent, dot, port = parts[1].rpartition(".")
-            if not dot or port not in ("A", "B"):
-                raise ValueError(f"line {lineno}: port must be .A or .B")
-            key = (parent, port)
-            if key in routes:
-                raise ValueError(f"line {lineno}: duplicate route from {parts[1]}")
-            routes[key] = parts[3]
-        else:
-            raise ValueError(f"line {lineno}: unknown directive '{parts[0]}'")
+    routes: dict[tuple[str, str], tuple[str, int]] = {}  # -> (child, line)
+    tree = None
+    for lineno, fields in numbered_lines(text):
+        with at_line(lineno):
+            if fields[0] == "tree":
+                if len(fields) != 2:
+                    raise ValueError("expected 'tree <depth>'")
+                tree = cascade_build(parse_number(fields[1], int, "'tree <depth>'"))
+            elif fields[0] == "stage":
+                if len(fields) != 4:
+                    raise ValueError("expected 'stage <name> theta=<rad> phi=<rad>'")
+                name = fields[1]
+                if name in stages:
+                    raise ValueError(f"duplicate stage '{name}'")
+                kv = {key: parse_number(val) for key, val in key_values(fields[2:]).items()}
+                if set(kv) != {"theta", "phi"}:
+                    raise ValueError("stage needs theta= and phi=")
+                stages[name] = SagnacStage(kv["theta"], kv["phi"])
+            elif fields[0] == "route":
+                if len(fields) != 4 or fields[2] != "->":
+                    raise ValueError("expected 'route <parent>.<A|B> -> <child>'")
+                parent, dot, port = fields[1].rpartition(".")
+                if not dot or port not in ("A", "B"):
+                    raise ValueError("port must be .A or .B")
+                if (parent, port) in routes:
+                    raise ValueError(f"duplicate route from {fields[1]}")
+                routes[parent, port] = (fields[3], lineno)
+            else:
+                raise ValueError(f"unknown directive '{fields[0]}'")
 
-    if tree_depth is not None:
+    if tree is not None:
         if stages or routes:
             raise ValueError("'tree' cannot be combined with explicit stages")
-        return cascade_build(tree_depth)
+        return tree
     if not stages:
         raise ValueError("network defines no stages")
 
-    children = set(routes.values())
-    for (parent, port), child in routes.items():
-        if parent not in stages:
-            raise ValueError(f"route from unknown stage '{parent}'")
-        if child not in stages:
-            raise ValueError(f"route to unknown stage '{child}'")
+    for (parent, _), (child, lineno) in routes.items():
+        with at_line(lineno):
+            if parent not in stages:
+                raise ValueError(f"route from unknown stage '{parent}'")
+            if child not in stages:
+                raise ValueError(f"route to unknown stage '{child}'")
+    children = {child for child, _ in routes.values()}
     if len(children) != len(routes):
         raise ValueError("a stage is routed to more than once")
     roots = [name for name in stages if name not in children]
@@ -297,11 +291,11 @@ def parse_network(text: str) -> CascadeNode:
         visiting.add(name)
         kids = {}
         for port in ("A", "B"):
-            child = routes.get((name, port))
-            if child is None:
+            route = routes.get((name, port))
+            if route is None:
                 kids[port] = CascadeNode(label=f"{name}.{port}")
             else:
-                kids[port] = build(child)
+                kids[port] = build(route[0])
         visiting.discard(name)
         return CascadeNode(
             label=name, stage=stages[name], child_a=kids["A"], child_b=kids["B"]

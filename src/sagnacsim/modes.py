@@ -81,10 +81,10 @@ class BeamGeometry:
     wavelength: float = 633e-9
 
     def __post_init__(self):
-        if not self.w0 > 0:
-            raise ValueError("waist radius w0 must be positive")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
+        if not 0 < self.w0 < math.inf:
+            raise ValueError("waist radius w0 must be positive and finite")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
 
 
 def _check_index(idx) -> HGIndex:
@@ -261,6 +261,8 @@ class GridSpec:
         n = self.samples_per_side
         if n < 16 or n % 2 != 0:
             raise ValueError("samples_per_side must be even and at least 16")
+        if not math.isfinite(self.dx):
+            raise ValueError("half_width is too large: the sample spacing is not finite")
 
     @property
     def dx(self) -> float:

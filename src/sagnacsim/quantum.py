@@ -30,10 +30,9 @@ from typing import IO
 
 import numpy as np
 
-from .formats import parse_number
+from .formats import at_line, numbered_lines, parse_number
 from .interferometer import SagnacStage
 from .modes import (
-    MAX_ORDER,
     BeamGeometry,
     HGIndex,
     LGIndex,
@@ -201,35 +200,23 @@ def load_biphoton_table(
     ``#`` starts a comment.  An empty file yields an empty expansion with a
     warning; malformed lines raise with their line number.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
+    text = stream if isinstance(stream, str) else stream.read()
     terms: dict[tuple[HGIndex, HGIndex], complex] = {}
     header_seen = False
-    any_content = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        any_content = True
-        if not header_seen:
-            if line != "biphoton v1":
-                raise ValueError(f"line {lineno}: expected header 'biphoton v1'")
-            header_seen = True
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"line {lineno}: expected 'j k s t re im'")
-        j, k, s, t = (parse_number(p, lineno, int) for p in parts[:4])
-        re_part, im_part = (parse_number(p, lineno) for p in parts[4:])
-        if min(j, k, s, t) < 0:
-            raise ValueError(f"line {lineno}: negative mode index")
-        if max(j + k, s + t) > MAX_ORDER:
-            raise ValueError(f"line {lineno}: order too large (max {MAX_ORDER})")
-        key = (HGIndex(j, k), HGIndex(s, t))
-        terms[key] = terms.get(key, 0j) + complex(re_part, im_part)
-    if not any_content:
+    for lineno, fields in numbered_lines(text):
+        with at_line(lineno):
+            if not header_seen:
+                if fields != ["biphoton", "v1"]:
+                    raise ValueError("expected header 'biphoton v1'")
+                header_seen = True
+                continue
+            if len(fields) != 6:
+                raise ValueError("expected 'j k s t re im'")
+            j, k, s, t = (parse_number(p, int) for p in fields[:4])
+            re_part, im_part = (parse_number(p) for p in fields[4:])
+            key = (_check_index((j, k)), _check_index((s, t)))
+            terms[key] = terms.get(key, 0j) + complex(re_part, im_part)
+    if not header_seen:
         warnings.warn("biphoton table file is empty", stacklevel=2)
     return BiphotonExpansion(terms, bell_polarization(), geometry)
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -547,6 +548,104 @@ def test_pipeline_numbers_numbered(tmp_path, capsys):
         code, _, err = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
         assert code == 3
         assert err == f"error: {message}\n"
+
+
+def test_pipeline_model_faults_numbered(tmp_path, capsys):
+    cases = (
+        ("source hg45\nfilter\nsort theta=5\n", "line 3: theta must lie in [0, pi]"),
+        ("source hg45\nfilter\ncompressor retardance=7\n", "line 3: retardance must lie in [0, 2*pi)"),
+        ("source hg45\nfilter\nsort\nherald mode=200,0\n", "line 4: order too large: n+m=200 exceeds 170"),
+        ("source hg45\nfilter\nsort\n# trigger\nherald port=C\n", "line 5: trigger port must be 'A' or 'B'"),
+    )
+    script = tmp_path / "bad.pipe"
+    for text, message in cases:
+        script.write_text(text)
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
+        assert code == 3
+        assert err == f"error: {message}\n"
+
+
+def test_pipeline_table_faults_name_both_lines(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("biphoton v1\n0 0 0 x 1 0\n")
+    script = tmp_path / "p.pipe"
+    script.write_text(f"# table\nsource table {table}\nfilter\n")
+    code, _, err = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
+    assert code == 3
+    assert err == f"error: line 2: {table}: line 2: expected an integer, got 'x'\n"
+    table.write_text("biphoton v1\n0 0 0 -1 1 0\n")
+    code, _, err = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
+    assert err.startswith(f"error: line 2: {table}: line 2: HG indices must be nonnegative")
+
+
+def test_cascade_and_sort_file_model_faults_numbered(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    for text, message in (
+        ("tree 9\n", "line 1: cascade depth must lie between 1 and 5"),
+        ("# s\nstage s theta=5 phi=0\n", "line 2: theta must lie in [0, pi]"),
+    ):
+        net.write_text(text)
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "cascade", "--network", str(net))
+        assert (code, err) == (3, f"error: {message}\n")
+    exp = tmp_path / "e.txt"
+    for text, message in (
+        ("hg-expansion v1 w0=-1\n", "line 1: waist radius w0 must be positive and finite"),
+        ("hg-expansion v1 w0=1\n0 200 1 0\n", "line 2: order too large: n+m=200 exceeds 170"),
+    ):
+        exp.write_text(text)
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "sort", str(exp))
+        assert (code, err) == (3, f"error: {message}\n")
+
+
+FLOAT_OPTIONS = (
+    ("mode", "hg:1,1", "--w0"),
+    ("mode", "hg:1,1", "--half-width"),
+    ("sort", "hg:1,1", "--theta"),
+    ("sort", "hg:1,1", "--phi"),
+    ("interfere", "hg:1,0", "--tilt"),
+    ("interfere", "hg:1,0", "--ref-phase"),
+    ("interfere", "hg:1,0", "--cut"),
+    ("sweep-theta", None, "--theta-min"),
+    ("sweep-theta", None, "--theta-max"),
+    ("pipeline", "bell", "--c0"),
+    ("pipeline", "bell", "--c1"),
+    ("pipeline", "bell", "--c2"),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, spec, option", FLOAT_OPTIONS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_float_options_must_be_finite(tmp_path, capsys, command, spec, option, value):
+    argv = ["--out-dir", str(tmp_path), command] + ([spec] if spec else []) + [f"{option}={value}"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {option}: '{value}' is not finite" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_offset_must_be_finite(tmp_path, capsys):
+    code, _, err = run(capsys, "--out-dir", str(tmp_path), "interfere", "hg:1,0", "--offset", "nan", "0")
+    assert code == 2
+    assert "argument --offset: 'nan' is not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("mode", "hg:1,1", "--w0", "1e-300"),
+    ("mode", "hg:1,1", "--w0", "1e-320"),
+    ("mode", "hg:1,1", "--w0", "1e-300", "--format", "csv"),
+    ("mode", "hg:1,1", "--half-width", "1e308"),
+    ("interfere", "hg:1,0", "--tilt", "1e308"),
+    ("interfere", "hg:1,0", "--tilt", "1e308", "--analyze-fork"),
+])
+def test_non_finite_images_refused(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), *argv)
+    assert code == 3
+    assert err.startswith("error: ") and "finite" in err
+    assert "fork" not in out
+    assert os.listdir(tmp_path) == []
 
 
 def test_pipeline_unknown_name_exits_2(tmp_path, capsys):

@@ -118,6 +118,35 @@ def test_expansion_parse_rejects_non_finite_numbered():
         F.parse_expansion("hg-expansion v1 w0=1\n1.5 0 1 0\n")
 
 
+def test_numbered_lines_skip_comments_and_blanks():
+    text = "# head\n\na b  # tail\n   \n  c=1\n#\n"
+    assert list(F.numbered_lines(text)) == [(3, ["a", "b"]), (5, ["c=1"])]
+
+
+def test_at_line_numbers_value_errors_only():
+    with pytest.raises(ValueError, match="^line 7: bad value$"):
+        with F.at_line(7):
+            raise ValueError("bad value")
+    with pytest.raises(KeyError):
+        with F.at_line(7):
+            raise KeyError("x")
+
+
+def test_key_values():
+    assert F.key_values(["a=1", "b=x=y", "a=2"]) == {"a": "2", "b": "x=y"}
+    with pytest.raises(ValueError, match="malformed parameter 'c'"):
+        F.key_values(["a=1", "c"])
+
+
+def test_expansion_model_faults_numbered():
+    with pytest.raises(ValueError, match="^line 2: waist radius w0 must be positive"):
+        F.parse_expansion("# w0\nhg-expansion v1 w0=-1\n")
+    with pytest.raises(ValueError, match="^line 3: order too large"):
+        F.parse_expansion("hg-expansion v1 w0=1\n0 0 1 0\n0 200 1 0\n")
+    with pytest.raises(ValueError, match="^line 2: HG indices must be nonnegative"):
+        F.parse_expansion("hg-expansion v1 w0=1\n-1 0 1 0\n")
+
+
 # ---------------------------------------------------------------------------
 # CSV kernel against the per-value '%.17g' loop it replaced
 # ---------------------------------------------------------------------------

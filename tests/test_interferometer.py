@@ -436,6 +436,26 @@ def test_network_errors():
         I.parse_network("stage a theta=0.8 phi=0\nroute a.A -> ghost\n")
 
 
+def test_stage_validates_on_construction():
+    for theta, phi in ((0.5, float("nan")), (0.5, math.inf), (5.0, 0.0), (-0.1, 0.0), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="theta must lie in|phi must be finite"):
+            I.SagnacStage(theta, phi)
+    stage = I.SagnacStage(math.pi, -7.0)  # bounds are inclusive; phi any finite value
+    assert "omega" not in vars(stage)  # omega and psi stay lazy
+    assert math.isfinite(stage.omega) and math.isfinite(stage.psi)
+
+
+def test_network_model_faults_numbered():
+    with pytest.raises(ValueError, match=r"^line 1: theta must lie in \[0, pi\]$"):
+        I.parse_network("stage s theta=5 phi=0\n")
+    with pytest.raises(ValueError, match="^line 2: cascade depth must lie between 1 and 5$"):
+        I.parse_network("# deep\ntree 9\n")
+    with pytest.raises(ValueError, match="^line 3: route to unknown stage 'ghost'$"):
+        I.parse_network("stage a theta=0.8 phi=0\n\nroute a.A -> ghost\n")
+    with pytest.raises(ValueError, match="^line 2: route from unknown stage 'b'$"):
+        I.parse_network("stage a theta=0.8 phi=0\nroute b.A -> a\n")
+
+
 # ---------------------------------------------------------------------------
 # phase device
 # ---------------------------------------------------------------------------

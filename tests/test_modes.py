@@ -425,6 +425,21 @@ def test_grid_spec_validation():
         M.GridSpec(-1.0, 64)
 
 
+def test_grid_spec_rejects_non_finite_spacing():
+    with pytest.raises(ValueError, match="sample spacing is not finite"):
+        M.GridSpec(1e308, 256)
+    with pytest.raises(ValueError, match="half_width must be positive"):
+        M.GridSpec(math.nan, 256)
+
+
+def test_geometry_requires_finite_positive_values():
+    for w0 in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="w0 must be positive and finite"):
+            M.BeamGeometry(w0)
+    with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+        M.BeamGeometry(1.0, math.inf)
+
+
 def test_norm_reported_not_renormalized():
     e = M.ModeExpansion({M.HGIndex(0, 0): 2.0}, GEOM)
     assert e.norm_sq() == pytest.approx(4.0)

@@ -173,11 +173,18 @@ def _write_metadata(args) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _geometry_and_grid(args) -> tuple[BeamGeometry, GridSpec]:
+def _geometry(args) -> BeamGeometry:
+    """The beam of ``--w0``; also fixes the half width that metadata.txt
+    records, whether or not the subcommand samples a grid."""
     geom = BeamGeometry(args.w0)
     half = args.half_width if args.half_width is not None else 8.0 * args.w0
     args.half_width_value = half
-    return geom, GridSpec(half, args.grid_size)
+    return geom
+
+
+def _geometry_and_grid(args) -> tuple[BeamGeometry, GridSpec]:
+    geom = _geometry(args)
+    return geom, GridSpec(args.half_width_value, args.grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def fork_fringe_counts(
 
 
 def cmd_sweep_theta(args) -> int:
-    geom, _grid = _geometry_and_grid(args)
+    _geometry(args)
     rows = ["theta_rad,omega_rad,psi_rad"]
     for theta, omega, psi in sweep_theta(args.count, args.theta_min, args.theta_max):
         rows.append(
@@ -325,7 +332,7 @@ def _parse_l_list(text: str) -> list[int]:
 
 
 def cmd_cascade(args) -> int:
-    geom, _grid = _geometry_and_grid(args)
+    geom = _geometry(args)
     if args.network is not None:
         with open(args.network, "r", encoding="ascii") as fh:
             root = parse_network(fh.read())
@@ -384,6 +391,12 @@ def _kv_number(kv: dict[str, str], key: str, default: float) -> float:
     return formats.parse_number(kv[key]) if key in kv else default
 
 
+def _no_more_fields(parts: list[str], count: int) -> None:
+    """Reject any field of a pipeline line after its first ``count``."""
+    if len(parts) > count:
+        raise ValueError(f"unexpected field '{parts[count]}' after '{' '.join(parts[:count])}'")
+
+
 def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
     """Execute a pipeline script and return its report lines."""
     report = [f"pipeline {name}"]
@@ -398,6 +411,8 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
             if op == "source":
                 if len(parts) < 2:
                     raise ValueError("source needs an argument")
+                if parts[1] in ("hg00", "hg45"):
+                    _no_more_fields(parts, 2)
                 if parts[1] == "hg00":
                     state = Q.spdc_hg00(
                         overrides.get("c0", Q.DEFAULT_C0),
@@ -421,12 +436,13 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
                     f" terms={len(state.terms)}"
                 )
             elif op == "filter":
+                _no_more_fields(parts, 1)
                 if state is None:
                     raise ValueError("filter before source")
                 state, prob = Q.fiber_filter_biphoton(state)
                 report.append(f"filter: post_selection={formats.fmt_float(prob)}")
             elif op == "compressor":
-                kv = formats.key_values(parts[1:])
+                kv = formats.key_values(parts[1:], ("axis", "retardance"))
                 spec = Q.CompressorSpec(
                     axis_angle=_kv_number(kv, "axis", math.pi / 2),
                     retardance=_kv_number(kv, "retardance", math.pi / 2),
@@ -439,7 +455,7 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
                     f" retardance={formats.fmt_float(spec.retardance)}"
                 )
             elif op == "sort":
-                kv = formats.key_values(parts[1:])
+                kv = formats.key_values(parts[1:], ("theta", "phi"))
                 stage = SagnacStage(_kv_number(kv, "theta", math.pi / 4), _kv_number(kv, "phi", 0.0))
                 if state is None:
                     raise ValueError("sort before source")
@@ -461,7 +477,7 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
                 state = sort_result.state(parts[1])
                 report.append(f"select {parts[1]}: probability={formats.fmt_float(prob)}")
             elif op == "herald":
-                kv = formats.key_values(parts[1:])
+                kv = formats.key_values(parts[1:], ("port", "mode"))
                 port = kv.get("port", "A")
                 mode = kv.get("mode", "0,0").split(",")
                 if len(mode) != 2:
@@ -482,12 +498,14 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
                     ov = abs(ref.inner(herald_result.spatial))
                     report.append(f"  overlap {ref_name}={ov:.9f}")
             elif op == "schmidt":
+                _no_more_fields(parts, 1)
                 if state is None:
                     raise ValueError("schmidt before a state exists")
                 coeffs = Q.schmidt_coefficients(state)
                 inside = ", ".join(f"{c:.7f}" for c in coeffs)
                 report.append(f"schmidt: ({inside})")
             elif op == "pbs-split":
+                _no_more_fields(parts, 1)
                 if state is None:
                     raise ValueError("pbs-split before a state exists")
                 rep = Q.pbs_split_bell(state)
@@ -520,7 +538,7 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
 
 
 def cmd_pipeline(args) -> int:
-    _geometry_and_grid(args)
+    _geometry(args)
     overrides = {}
     if args.c0 is not None:
         overrides["c0"] = args.c0
@@ -558,6 +576,13 @@ def finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def positive_float(text: str) -> float:
+    value = finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got '{text}'")
+    return value
+
+
 def grid_size(text: str) -> int:
     value = int(text)
     if value < 16 or value > MAX_GRID_SIZE or value % 2:
@@ -582,7 +607,7 @@ def _add_common_options(parser, suppress: bool) -> None:
         help=f"samples per grid side (even, 16 to {MAX_GRID_SIZE})",
     )
     parser.add_argument(
-        "--half-width", type=finite_float, default=default(None),
+        "--half-width", type=positive_float, default=default(None),
         help="grid half width (default 8*w0)",
     )
     parser.add_argument("--out-dir", default=default("."), help="output directory")

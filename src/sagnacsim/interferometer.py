@@ -20,7 +20,9 @@ Stages and cascades therefore work on the LG amplitudes of the per-order
 blocks (:func:`sagnacsim.modes._to_oam`), which keeps port powers
 conserved to machine precision at every order.  A tree of such stages
 sorts OAM by residue, the Sagnac counterpart of the Mach-Zehnder cascade
-of Leach et al., PRL 88, 257901 (2002).
+of Leach et al., PRL 88, 257901 (2002).  A cascade computes the port
+factors of all its stages at once and takes all its leaves back to HG
+blocks together, in one product per order.
 """
 
 from __future__ import annotations
@@ -77,10 +79,14 @@ class PortPair:
     input_norm_sq: float
 
 
-def _port_factors(stage: SagnacStage, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Port A and B amplitudes of LG modes with OAM ``l`` at one stage."""
-    plus = np.exp(-1j * l * stage.omega)  # R(+Omega) eigenvalue
-    minus = np.exp(1j * l * stage.omega) * cmath.exp(1j * stage.phi)
+def _port_factors(omega, phase, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Port A and B amplitudes of LG modes with OAM ``l`` at image rotation
+    ``omega`` and device phase factor ``phase`` = e^{i phi}: one stage's as
+    scalars, or several stages' as columns, one row per stage."""
+    plus = np.exp(-1j * l * omega)  # R(+Omega) eigenvalue
+    # e^{i phi} multiplies the exponential instead of joining the exponent,
+    # which would move the powers the CLI prints in their last digits.
+    minus = np.exp(1j * l * omega) * phase
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
@@ -92,7 +98,7 @@ def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
     parity components (each rotated by 90 degrees).
     """
     w, l = _to_oam(expansion.blocks)
-    factor_a, factor_b = _port_factors(stage, l)
+    factor_a, factor_b = _port_factors(stage.omega, cmath.exp(1j * stage.phi), l)
     return PortPair(
         expansion._with_blocks(_from_oam(expansion.blocks, factor_a * w)),
         expansion._with_blocks(_from_oam(expansion.blocks, factor_b * w)),
@@ -185,11 +191,14 @@ class LeafPower:
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     """Route an input through a sorting tree; returns per-leaf power fractions.
 
-    The input is taken to LG amplitudes once, each stage multiplies them by
-    its port factors, and only the leaves go back to HG blocks.  An
-    :class:`LGIndex` input is the single amplitude 1 at its l, so its leaves
-    carry powers only; a :class:`ModeExpansion` input also gets each leaf
-    state.  Leaves are listed in depth-first order, port A first.
+    The input is taken to LG amplitudes once.  One depth-first walk lists
+    the stages and, for each node below the root, which amplitudes and which
+    port factors make its own; the factors of all stages are computed at
+    once, so the walk's steps only multiply rows.  The leaves' amplitudes
+    form one matrix, which goes back to HG blocks in one product per order.
+    An :class:`LGIndex` input is the single amplitude 1 at its l, so its
+    leaves carry powers only; a :class:`ModeExpansion` input also gets each
+    leaf state.  Leaves are listed in depth-first order, port A first.
     """
     if isinstance(input_state, LGIndex):
         expansion, total = None, 1.0
@@ -201,22 +210,46 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
         w, l = _to_oam(expansion.blocks)
     else:
         raise TypeError("input must be an LGIndex or a ModeExpansion")
-    leaves: list[LeafPower] = []
+    stages: list[SagnacStage] = []
+    # Amplitude row j > 0 is factor row steps[j - 1][1] times amplitude row
+    # steps[j - 1][0]; row 0 is the input.
+    steps: list[tuple[int, int]] = []
+    leaves: list[tuple[str, int]] = []  # label and amplitude row of each leaf
 
-    def walk(n: CascadeNode, amps: np.ndarray):
+    def walk(n: CascadeNode, at: int):
         if n.is_leaf:
-            power = float(np.vdot(amps, amps).real) / total
-            state = None
-            if expansion is not None:
-                state = expansion._with_blocks(_from_oam(expansion.blocks, amps))
-            leaves.append(LeafPower(n.label, power, state))
+            leaves.append((n.label, at))
             return
-        factor_a, factor_b = _port_factors(n.stage, l)
-        walk(n.child_a, factor_a * amps)
-        walk(n.child_b, factor_b * amps)
+        k = len(stages)
+        stages.append(n.stage)
+        for factor, child in ((2 * k, n.child_a), (2 * k + 1, n.child_b)):
+            steps.append((at, factor))
+            walk(child, len(steps))
 
-    walk(node, w)
-    return leaves
+    walk(node, 0)
+    # Factor rows 2k and 2k + 1 are the port A and B factors of stage k.
+    factors = np.stack(_port_factors(
+        np.array([stage.omega for stage in stages])[:, None],
+        np.array([cmath.exp(1j * stage.phi) for stage in stages])[:, None],
+        l,
+    ), axis=1).reshape(-1, len(l))
+    rows = [w]
+    for at, factor in steps:
+        rows.append(factors[factor] * rows[at])
+    amps = np.array([rows[at] for _, at in leaves])  # one row per leaf
+    powers = [float(np.vdot(row, row).real) / total for row in amps]
+    if expansion is None:
+        return [LeafPower(label, power) for (label, _), power in zip(leaves, powers)]
+    per_order = []
+    for o, block in _from_oam(expansion.blocks, amps.T).items():
+        block.setflags(write=False)  # once: the leaves' blocks are its columns
+        per_order.append((o, list(block.T), np.any(block, axis=0).tolist()))
+    return [
+        LeafPower(label, power, expansion._adopt(
+            {o: blocks[i] for o, blocks, nonzero in per_order if nonzero[i]}
+        ))
+        for i, ((label, _), power) in enumerate(zip(leaves, powers))
+    ]
 
 
 def parse_network(text: str) -> CascadeNode:
@@ -247,7 +280,8 @@ def parse_network(text: str) -> CascadeNode:
                 name = fields[1]
                 if name in stages:
                     raise ValueError(f"duplicate stage '{name}'")
-                kv = {key: parse_number(val) for key, val in key_values(fields[2:]).items()}
+                kv = key_values(fields[2:], ("theta", "phi"))
+                kv = {key: parse_number(val) for key, val in kv.items()}
                 if set(kv) != {"theta", "phi"}:
                     raise ValueError("stage needs theta= and phi=")
                 stages[name] = SagnacStage(kv["theta"], kv["phi"])

@@ -578,6 +578,56 @@ def test_pipeline_table_faults_name_both_lines(tmp_path, capsys):
     assert err.startswith(f"error: line 2: {table}: line 2: HG indices must be nonnegative")
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("source hg00\nfilter\nsort thta=1.0\n", "line 3: unknown key 'thta'", id="sort-unknown-key"),
+    pytest.param("source hg00\nfilter\nsort theta=1 theta=1\n", "line 3: duplicate key 'theta'", id="sort-duplicate-key"),
+    pytest.param("source hg45\nfilter\ncompressor axis=1 retard=1\n", "line 3: unknown key 'retard'", id="compressor-unknown-key"),
+    pytest.param("source hg45\nfilter\nsort\nherald prot=A\n", "line 4: unknown key 'prot'", id="herald-unknown-key"),
+    pytest.param("source hg45\nfilter\nsort\nherald port=A port=B\n", "line 4: duplicate key 'port'", id="herald-duplicate-key"),
+    pytest.param("source hg00\nfilter extra\n", "line 2: unexpected field 'extra' after 'filter'", id="filter-field"),
+    pytest.param("source hg00\nfilter\nschmidt junk\n", "line 3: unexpected field 'junk' after 'schmidt'", id="schmidt-field"),
+    pytest.param("source hg00\nfilter\npbs-split 1\n", "line 3: unexpected field '1' after 'pbs-split'", id="pbs-split-field"),
+    pytest.param("# s\nsource hg45 x\n", "line 2: unexpected field 'x' after 'source hg45'", id="source-field"),
+])
+def test_pipeline_lines_reject_unknown_keys_and_extra_fields(tmp_path, capsys, text, message):
+    script = tmp_path / "bad.pipe"
+    script.write_text(text)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "pipeline", str(script))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert os.listdir(out_dir) == []
+
+
+def test_only_sampling_subcommands_build_a_grid(tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was requested")
+
+    monkeypatch.setattr(cli, "GridSpec", no_grid)
+    for argv in (
+        ("pipeline", "bell", "--half-width", "3"),
+        ("cascade", "--depth", "2", "--half-width", "3"),
+        ("sweep-theta", "--count", "5", "--half-width", "3"),
+    ):
+        out_dir = tmp_path / argv[0]
+        code, _, err = run(capsys, "--out-dir", str(out_dir), "--grid-size", "64", *argv)
+        assert (code, err) == (0, "")
+        meta = (out_dir / "metadata.txt").read_text().splitlines()
+        assert meta[3:5] == ["grid_size 64", "half_width 3"]
+    with pytest.raises(AssertionError, match="a grid was requested"):
+        main(["--out-dir", str(tmp_path / "mode"), "mode", "hg:0,0"])
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-0"])
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "bell"), ("cascade",), ("sweep-theta",), ("mode", "hg:0,0"), ("sort", "hg:1,0"),
+])
+def test_half_width_must_be_positive_while_parsing(tmp_path, capsys, argv, value):
+    code, _, err = run(capsys, "--out-dir", str(tmp_path), *argv, f"--half-width={value}")
+    assert code == 2
+    assert f"argument --half-width: expected a positive number, got '{value}'" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cascade_and_sort_file_model_faults_numbered(tmp_path, capsys):
     net = tmp_path / "net.txt"
     for text, message in (

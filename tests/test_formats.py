@@ -138,6 +138,17 @@ def test_key_values():
         F.key_values(["a=1", "c"])
 
 
+def test_key_values_with_allowed_keys():
+    assert F.key_values(["phi=2", "theta=1"], ("theta", "phi")) == {"theta": "1", "phi": "2"}
+    assert F.key_values([], ("theta",)) == {}
+    with pytest.raises(ValueError, match="^unknown key 'thta'$"):
+        F.key_values(["thta=1"], ("theta", "phi"))
+    with pytest.raises(ValueError, match="^duplicate key 'theta'$"):
+        F.key_values(["theta=1", "phi=0", "theta=1"], ("theta", "phi"))
+    with pytest.raises(ValueError, match="^malformed parameter 'theta'$"):
+        F.key_values(["theta"], ("theta",))
+
+
 def test_expansion_model_faults_numbered():
     with pytest.raises(ValueError, match="^line 2: waist radius w0 must be positive"):
         F.parse_expansion("# w0\nhg-expansion v1 w0=-1\n")

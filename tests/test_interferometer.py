@@ -386,6 +386,51 @@ def test_port_and_leaf_powers_sum_to_one_up_to_max_order(terms, theta, phi):
     assert abs(sum(leaf.state.norm_sq() for leaf in leaves) / e.norm_sq() - 1.0) <= 1e-12
 
 
+@st.composite
+def random_network(draw):
+    """Text of a network file: 1-12 stages at random theta and phi, each
+    stage after the first routed from a random free port, so that leaves sit
+    at different depths; lines in random order."""
+    count = draw(st.integers(1, 12))
+    lines = [
+        f"stage s{i} theta={draw(st.floats(0.0, math.pi))!r} phi={draw(st.floats(-10.0, 10.0))!r}"
+        for i in range(count)
+    ]
+    free = [("s0", "A"), ("s0", "B")]
+    for child in range(1, count):
+        parent, port = free.pop(draw(st.integers(0, len(free) - 1)))
+        lines.append(f"route {parent}.{port} -> s{child}")
+        free += [(f"s{child}", "A"), (f"s{child}", "B")]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+_low_hg_index = st.integers(0, 40).flatmap(
+    lambda order: st.integers(0, order).map(lambda n: (n, order - n))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=random_network(),
+    terms=st.dictionaries(_low_hg_index, _amplitude, min_size=1, max_size=6),
+    lg=st.tuples(st.integers(0, 20), st.integers(-40, 40)),
+)
+def test_random_networks_route_like_the_reference(text, terms, lg):
+    root = I.parse_network(text)
+    e = M.ModeExpansion(terms, GEOM).normalized()
+    got = I.cascade_route(root, e)
+    want = reference_cascade(root, e)
+    assert [leaf.label for leaf in got] == [label for label, _, _ in want]
+    for leaf, (_, power, leaf_terms) in zip(got, want):
+        assert abs(leaf.power - power) <= 1e-12
+        assert max_diff(leaf.state.terms, leaf_terms) <= 1e-12
+    got = I.cascade_route(root, M.LGIndex(*lg))
+    want = reference_cascade(root, M.LGIndex(*lg))
+    assert [(leaf.label, leaf.state) for leaf in got] == [(label, None) for label, _, _ in want]
+    for leaf, (_, power, _) in zip(got, want):
+        assert abs(leaf.power - power) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # network files
 # ---------------------------------------------------------------------------

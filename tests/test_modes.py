@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnacsim import modes as M
 
@@ -361,6 +363,52 @@ def test_rotation_composition_exact_path():
     lhs = M.rotate_exact(M.rotate_exact(e, 0.7), 1.1)
     rhs = M.rotate_exact(e, 1.8)
     assert coeff_distance(lhs, rhs) < 1e-13
+
+
+# 1-6 random terms of any order up to MAX_ORDER, as a unit-norm expansion.
+_unit_states = st.dictionaries(
+    st.integers(0, M.MAX_ORDER).flatmap(
+        lambda order: st.integers(0, order).map(lambda n: (n, order - n))
+    ),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: M.ModeExpansion(terms, GEOM).normalized())
+_angles = st.floats(-2 * math.pi, 2 * math.pi)
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY
+@given(_unit_states)
+def test_oam_round_trip_returns_the_blocks(e):
+    back = M._from_oam(e.blocks, M._to_oam(e.blocks)[0])
+    assert back.keys() == e.blocks.keys()
+    for o, block in e.blocks.items():
+        assert np.max(np.abs(back[o] - block)) <= 1e-12
+
+
+@PROPERTY
+@given(_unit_states, st.lists(_angles, min_size=1, max_size=5))
+def test_oam_round_trip_of_stacked_states(e, phases):
+    # The same state once per column, each time with another global phase.
+    w, _l = M._to_oam(e.blocks)
+    factors = np.exp(1j * np.array(phases))
+    stacked = M._from_oam(e.blocks, np.outer(w, factors))
+    for o, block in e.blocks.items():
+        assert stacked[o].shape == (o + 1, len(phases))
+        assert np.max(np.abs(stacked[o] - np.outer(block, factors))) <= 1e-12
+    for k, factor in enumerate(factors):
+        alone = M._from_oam(e.blocks, factor * w)
+        for o in e.blocks:
+            assert np.max(np.abs(stacked[o][:, k] - alone[o])) <= 1e-12
+
+
+@PROPERTY
+@given(_unit_states, _angles, _angles)
+def test_rotation_composition_up_to_max_order(e, a, b):
+    lhs = M.rotate_exact(M.rotate_exact(e, a), b)
+    rhs = M.rotate_exact(e, a + b)
+    assert coeff_distance(lhs, rhs) <= 1e-12
 
 
 def test_rotation_propagates_under_resolved_grid():

@@ -65,9 +65,9 @@ def mutated(draw, lines):
     return "\n".join(out) + "\n"
 
 
-def check_numbered(parse, text):
+def check_numbered(parse, text, must_fail=False):
     """Run ``parse(text)``; a ValueError must name a content line of
-    ``text`` or be a whole-file fault."""
+    ``text`` or be a whole-file fault, and ``must_fail`` demands one."""
     content = {
         i for i, line in enumerate(text.splitlines(), start=1) if line.split("#", 1)[0].strip()
     }
@@ -80,6 +80,8 @@ def check_numbered(parse, text):
             assert int(numbered.group(1)) in content, (text, message)
         else:
             assert any(w in message for w in WHOLE_FILE), (text, message)
+    else:
+        assert not must_fail, text
 
 
 small_int = st.integers(0, 3).map(str)
@@ -144,8 +146,12 @@ PIPELINES = (
 @FUZZ
 @given(st.data())
 def test_pipeline_faults_are_numbered(data):
-    text = data.draw(mutated(data.draw(st.sampled_from(PIPELINES))))
-    check_numbered(lambda t: cli.run_pipeline_script(t, "fuzz", {}), text)
+    lines = data.draw(st.sampled_from(PIPELINES))
+    text = data.draw(mutated(lines))
+    # No pipeline line takes a field more than it has here, nor the key zz.
+    fields = [field for _, line in F.numbered_lines(text) for field in line]
+    must_fail = "zz=1" in fields or len(fields) > sum(map(len, lines))
+    check_numbered(lambda t: cli.run_pipeline_script(t, "fuzz", {}), text, must_fail)
 
 
 l_chunk = st.one_of(

@@ -178,6 +178,8 @@ def _geometry(args) -> BeamGeometry:
     records, whether or not the subcommand samples a grid."""
     geom = BeamGeometry(args.w0)
     half = args.half_width if args.half_width is not None else 8.0 * args.w0
+    if not math.isfinite(half):
+        raise ValueError("the default half width 8*w0 is not finite")
     args.half_width_value = half
     return geom
 

@@ -42,23 +42,18 @@ def at_line(lineno: int):
         raise ValueError(f"line {lineno}: {exc}") from exc
 
 
-def key_values(fields: list[str], allowed=None) -> dict[str, str]:
-    """The ``key=value`` fields of a line as a dict.
-
-    With ``allowed``, the keys a line may hold, any other key and a
-    repeated key are ValueErrors; without it any key goes and a later one
-    wins.
-    """
+def key_values(fields: list[str], allowed) -> dict[str, str]:
+    """The ``key=value`` fields of a line as a dict; a key not in
+    ``allowed``, a repeated key and a field without ``=`` are ValueErrors."""
     kv = {}
     for tok in fields:
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValueError(f"malformed parameter '{tok}'")
-        if allowed is not None:
-            if key not in allowed:
-                raise ValueError(f"unknown key '{key}'")
-            if key in kv:
-                raise ValueError(f"duplicate key '{key}'")
+        if key not in allowed:
+            raise ValueError(f"unknown key '{key}'")
+        if key in kv:
+            raise ValueError(f"duplicate key '{key}'")
         kv[key] = val
     return kv
 

@@ -191,11 +191,13 @@ class LeafPower:
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     """Route an input through a sorting tree; returns per-leaf power fractions.
 
-    The input is taken to LG amplitudes once.  One depth-first walk lists
-    the stages and, for each node below the root, which amplitudes and which
-    port factors make its own; the factors of all stages are computed at
-    once, so the walk's steps only multiply rows.  The leaves' amplitudes
-    form one matrix, which goes back to HG blocks in one product per order.
+    The input is taken to LG amplitudes once.  A depth-first walk lists
+    the stages, whose port factors are then computed all at once; a second
+    walk in the same order only multiplies each node's amplitudes by its
+    stage's factors.  Both walks keep their own stack, so they hold no
+    arrays in reference cycles and a deep network cannot exhaust Python's
+    recursion limit.  The leaves' amplitudes form one matrix, which goes
+    back to HG blocks in one product per order.
     An :class:`LGIndex` input is the single amplitude 1 at its l, so its
     leaves carry powers only; a :class:`ModeExpansion` input also gets each
     leaf state.  Leaves are listed in depth-first order, port A first.
@@ -211,35 +213,33 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     else:
         raise TypeError("input must be an LGIndex or a ModeExpansion")
     stages: list[SagnacStage] = []
-    # Amplitude row j > 0 is factor row steps[j - 1][1] times amplitude row
-    # steps[j - 1][0]; row 0 is the input.
-    steps: list[tuple[int, int]] = []
-    leaves: list[tuple[str, int]] = []  # label and amplitude row of each leaf
-
-    def walk(n: CascadeNode, at: int):
-        if n.is_leaf:
-            leaves.append((n.label, at))
-            return
-        k = len(stages)
-        stages.append(n.stage)
-        for factor, child in ((2 * k, n.child_a), (2 * k + 1, n.child_b)):
-            steps.append((at, factor))
-            walk(child, len(steps))
-
-    walk(node, 0)
-    # Factor rows 2k and 2k + 1 are the port A and B factors of stage k.
-    factors = np.stack(_port_factors(
+    todo = [node]  # depth-first, port A first
+    while todo:
+        n = todo.pop()
+        if not n.is_leaf:
+            stages.append(n.stage)
+            todo += (n.child_b, n.child_a)
+    factor_a, factor_b = _port_factors(  # row k: stage k's factors
         np.array([stage.omega for stage in stages])[:, None],
         np.array([cmath.exp(1j * stage.phi) for stage in stages])[:, None],
         l,
-    ), axis=1).reshape(-1, len(l))
-    rows = [w]
-    for at, factor in steps:
-        rows.append(factors[factor] * rows[at])
-    amps = np.array([rows[at] for _, at in leaves])  # one row per leaf
+    )
+    labels: list[str] = []
+    rows: list[np.ndarray] = []  # the leaves' amplitudes
+    todo = [(node, w)]  # the same walk meets the stages in the same order
+    k = 0
+    while todo:
+        n, amps = todo.pop()
+        if n.is_leaf:
+            labels.append(n.label)
+            rows.append(amps)
+        else:
+            todo += ((n.child_b, factor_b[k] * amps), (n.child_a, factor_a[k] * amps))
+            k += 1
+    amps = np.array(rows)  # one row per leaf
     powers = [float(np.vdot(row, row).real) / total for row in amps]
     if expansion is None:
-        return [LeafPower(label, power) for (label, _), power in zip(leaves, powers)]
+        return [LeafPower(label, power) for label, power in zip(labels, powers)]
     per_order = []
     for o, block in _from_oam(expansion.blocks, amps.T).items():
         block.setflags(write=False)  # once: the leaves' blocks are its columns
@@ -248,7 +248,7 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
         LeafPower(label, power, expansion._adopt(
             {o: blocks[i] for o, blocks, nonzero in per_order if nonzero[i]}
         ))
-        for i, ((label, _), power) in enumerate(zip(leaves, powers))
+        for i, (label, power) in enumerate(zip(labels, powers))
     ]
 
 

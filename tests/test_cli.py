@@ -617,6 +617,13 @@ def test_only_sampling_subcommands_build_a_grid(tmp_path, capsys, monkeypatch):
         main(["--out-dir", str(tmp_path / "mode"), "mode", "hg:0,0"])
 
 
+@pytest.mark.parametrize("argv", [("pipeline", "bell"), ("cascade",), ("sweep-theta",)])
+def test_default_half_width_must_be_finite(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), *argv, "--w0", "1e308")
+    assert (code, out, err) == (3, "", "error: the default half width 8*w0 is not finite\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "-0"])
 @pytest.mark.parametrize("argv", [
     ("pipeline", "bell"), ("cascade",), ("sweep-theta",), ("mode", "hg:0,0"), ("sort", "hg:1,0"),

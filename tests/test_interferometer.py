@@ -364,6 +364,17 @@ def test_cascade_rejects_other_inputs():
         I.cascade_route(I.cascade_build(1), M.ModeExpansion({}, GEOM))
 
 
+def test_cascade_routes_a_chain_deeper_than_the_recursion_limit():
+    # Each stage passes even l to port A, which feeds the next stage.
+    stage = I.SagnacStage(math.pi / 4)
+    node = I.CascadeNode("end")
+    for i in range(3000):
+        node = I.CascadeNode(f"s{i}", stage, node, I.CascadeNode(f"s{i}.B"))
+    got = I.cascade_route(node, M.ModeExpansion({(1, 1): 1.0}, GEOM))
+    assert [leaf.label for leaf in got] == ["end"] + [f"s{i}.B" for i in range(3000)]
+    assert abs(got[0].power - 1.0) < 1e-12 and sum(leaf.power for leaf in got[1:]) < 1e-12
+
+
 _hg_index = st.integers(0, M.MAX_ORDER).flatmap(
     lambda order: st.integers(0, order).map(lambda n: (n, order - n))
 )

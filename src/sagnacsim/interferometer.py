@@ -317,34 +317,34 @@ def parse_network(text: str) -> CascadeNode:
     if len(roots) != 1:
         raise ValueError(f"network must have exactly one root, found {len(roots)}")
 
+    # Depth-first from the root with an explicit stack, port A first; a
+    # stage is built once both children are, so a deep chain cannot
+    # exhaust Python's recursion limit.  ``visiting`` is the current path.
     visiting: set[str] = set()
-
-    def build(name: str) -> CascadeNode:
-        if name in visiting:
-            raise ValueError(f"network contains a cycle through '{name}'")
-        visiting.add(name)
+    reached: set[str] = set()
+    built: dict[str, CascadeNode] = {}
+    todo = [(roots[0], False)]
+    while todo:
+        name, expanded = todo.pop()
+        if not expanded:
+            if name in visiting:
+                raise ValueError(f"network contains a cycle through '{name}'")
+            visiting.add(name)
+            reached.add(name)
+            todo.append((name, True))
+            todo += [
+                (route[0], False)
+                for port in ("B", "A")
+                if (route := routes.get((name, port))) is not None
+            ]
+            continue
         kids = {}
         for port in ("A", "B"):
             route = routes.get((name, port))
-            if route is None:
-                kids[port] = CascadeNode(label=f"{name}.{port}")
-            else:
-                kids[port] = build(route[0])
+            kids[port] = CascadeNode(label=f"{name}.{port}") if route is None else built.pop(route[0])
         visiting.discard(name)
-        return CascadeNode(
-            label=name, stage=stages[name], child_a=kids["A"], child_b=kids["B"]
-        )
-
-    root = build(roots[0])
-    reached = set()
-
-    def count(n):
-        if n.stage is not None:
-            reached.add(n.label)
-            count(n.child_a)
-            count(n.child_b)
-
-    count(root)
+        built[name] = CascadeNode(label=name, stage=stages[name], child_a=kids["A"], child_b=kids["B"])
+    root = built[roots[0]]
     if reached != set(stages):
         raise ValueError("network contains stages unreachable from the root")
     return root

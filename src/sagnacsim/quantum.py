@@ -5,11 +5,15 @@ All states live in the post-selected two-photon subspace; probabilities
 are conditional on a pair being present.  The spatial part of a biphoton
 is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
 ``(o1 + 1, o2 + 1)`` and entry ``[n1, n2]`` multiplies HG_{n1, o1-n1} x
-HG_{n2, o2-n2}; only blocks holding a nonzero term are kept.  Sorting is
-P1 C P2^T per block, heralding reads one row, the compressor is the same
-product with its order-one unitary, and the Schmidt spectrum is an SVD
-over the rows and columns that carry support, at any order.  The
-two-photon polarization is carried alongside as amplitudes over
+HG_{n2, o2-n2}; only blocks holding a nonzero term are kept.  Sorting
+computes P1 C P2^T for every block with one product per photon order:
+the blocks of each photon-1 order side by side take P1 at once, and the
+results for each photon-2 order, stacked, take P2^T at once for all four
+branches; each branch block is a read-only view of those outputs.
+Heralding reads one row of each block as a view, the compressor is the
+per-block product with its order-one unitary, and the Schmidt spectrum
+is an SVD over the rows and columns that carry support, at any order.
+The two-photon polarization is carried alongside as amplitudes over
 {HV, VH, HH, VV}.
 
 Biphoton sorting works in each output beam's own transverse frame: the
@@ -25,6 +29,7 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
 from typing import IO
 
@@ -92,10 +97,16 @@ class BiphotonExpansion:
 
     def _with_blocks(self, blocks) -> "BiphotonExpansion":
         """This state's polarization and geometry with the nonzero ``blocks``."""
-        out = BiphotonExpansion({}, self.polarization, self.geometry)
-        out.blocks = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
-        for block in out.blocks.values():
+        kept = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
+        for block in kept.values():
             block.setflags(write=False)
+        return self._adopt(kept)
+
+    def _adopt(self, blocks) -> "BiphotonExpansion":
+        """This state's polarization and geometry holding ``blocks`` as given:
+        each one already nonzero and read-only."""
+        out = object.__new__(BiphotonExpansion)
+        out.blocks, out.polarization, out.geometry = blocks, dict(self.polarization), self.geometry
         return out
 
     @property
@@ -377,6 +388,15 @@ class BiphotonSortResult:
         return st
 
 
+def _joined(blocks: list[np.ndarray], axis: int) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
+
+
+def _edges(orders: list[int]) -> list[int]:
+    """Offsets of blocks of these orders joined along one axis."""
+    return list(accumulate((o + 1 for o in orders), initial=0))
+
+
 def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResult:
     """Sort each photon of a biphoton independently at one Sagnac stage.
 
@@ -384,25 +404,67 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
     summing to one.  States are reported in the output beams' own frames;
     the common output rotation would multiply both photons identically and
     is omitted.
+
+    The port maps act once per photon order: the blocks of each photon-1
+    order, side by side, take (P_A, P_B) in one product, and for each
+    photon-2 order the matching column slices of those products, stacked
+    as rows, take (P_A, P_B)^T in one product holding all four branches.
+    Branch powers, normalization and the nonzero test of every block are
+    computed once per such output, which is then made read-only; each
+    branch block is a row slice of it.  Only occupied blocks are joined,
+    so memory follows the support.
     """
     total = b.norm_sq()
     if total == 0.0:
         raise ValueError("zero biphoton state")
     maps = _frame_port_maps(stage, sorted({order for key in b.blocks for order in key}))
-    # sorted_blocks[(o1, o2)][i, j] = P_i C P_j^T for ports i, j in (A, B).
-    sorted_blocks = {
-        (o1, o2): maps[o1][:, None] @ block @ maps[o2].transpose(0, 2, 1)[None]
-        for (o1, o2), block in b.blocks.items()
-    }
+    by_o1: dict[int, list[int]] = {}
+    by_o2: dict[int, list[int]] = {}
+    for o1, o2 in b.blocks:
+        by_o1.setdefault(o1, []).append(o2)
+        by_o2.setdefault(o2, []).append(o1)
+    # left[o1, o2][i] = P_i C for the block (o1, o2), a column slice of
+    # one (2, o1 + 1, sum of o2 + 1) product per photon-1 order.
+    left = {}
+    for o1, o2s in by_o1.items():
+        product = maps[o1] @ _joined([b.blocks[o1, o2] for o2 in o2s], axis=1)
+        edges = _edges(o2s)
+        for o2, start, stop in zip(o2s, edges, edges[1:]):
+            left[o1, o2] = product[:, :, start:stop]
+    # outputs[o2][i, j] = P_i C P_j^T for the blocks (o1, o2), stacked as
+    # rows in block order.
+    outputs = {}
+    power = np.zeros((2, 2))
+    for o2, o1s in by_o2.items():
+        stacked = _joined([left[o1, o2] for o1 in o1s], axis=1)
+        out = stacked[:, None] @ maps[o2].transpose(0, 2, 1)[None]
+        flat = out.view(float)
+        power += np.einsum("ijrc,ijrc->ij", flat, flat)
+        outputs[o2] = out
+    scale = np.zeros((2, 2))
+    np.divide(1.0, np.sqrt(power), out=scale, where=power > 0)
+    nonzero = {}  # o2 -> per-branch flags, one per block of the output
+    rows = dict.fromkeys(b.blocks)  # (o1, o2) -> (flag index, row slice), in block order
+    for o2, o1s in by_o2.items():
+        out = outputs[o2]
+        out *= scale[:, :, None, None]
+        edges = _edges(o1s)
+        nonzero[o2] = np.logical_or.reduceat(np.any(out, axis=3), edges[:-1], axis=2).tolist()
+        out.setflags(write=False)
+        for k, (o1, start, stop) in enumerate(zip(o1s, edges, edges[1:])):
+            rows[o1, o2] = (k, slice(start, stop))
     branches = {}
     for i, p1 in enumerate("AB"):
         for j, p2 in enumerate("AB"):
-            state = b._with_blocks({key: out[i, j] for key, out in sorted_blocks.items()})
-            power = state.norm_sq()
-            branches[p1 + p2] = SortedBranch(
-                probability=power / total,
-                state=state.normalized() if power > 0 else None,
-            )
+            state = None
+            if power[i, j] > 0:
+                plane = {o2: out[i, j] for o2, out in outputs.items()}
+                kept = {o2: flags[i][j] for o2, flags in nonzero.items()}
+                state = b._adopt({
+                    (o1, o2): plane[o2][span]
+                    for (o1, o2), (k, span) in rows.items() if kept[o2][k]
+                })
+            branches[p1 + p2] = SortedBranch(float(power[i, j]) / total, state)
     return BiphotonSortResult(branches)
 
 
@@ -484,12 +546,9 @@ def herald(
     if branch.probability <= 0.0 or branch.state is None:
         raise ValueError("zero-probability trigger")
     trig = _check_index(trigger_mode)
-    partner = {
-        HGIndex(n2, o2 - n2): amp
-        for (o1, o2), block in branch.state.blocks.items() if o1 == trig.order
-        for n2, amp in enumerate(block[trig.n].tolist()) if amp != 0
-    }
-    state = ModeExpansion(partner, branch.state.geometry)
+    state = ModeExpansion({}, branch.state.geometry)._with_blocks({
+        o2: block[trig.n] for (o1, o2), block in branch.state.blocks.items() if o1 == trig.order
+    })
     power = state.norm_sq()
     if power == 0.0:
         raise ValueError("zero-probability trigger")
@@ -514,12 +573,22 @@ def schmidt_coefficients(b: BiphotonExpansion) -> list[float]:
     columns that carry support, so memory follows the support, not the
     orders; the all-zero rest contributes the trailing zeros.
     """
-    terms = b.terms
-    rows = {a: i for i, a in enumerate(sorted({a for a, _ in terms}))}
-    cols = {c: j for j, c in enumerate(sorted({c for _, c in terms}))}
+    # The rows n1 and columns n2 of each block that hold a nonzero entry.
+    support = {
+        key: (np.flatnonzero(block.any(axis=1)).tolist(), np.flatnonzero(block.any(axis=0)).tolist())
+        for key, block in b.blocks.items()
+    }
+    # Matrix rows and columns follow the sorted HG indices (n, m).
+    rows = {a: i for i, a in enumerate(sorted(
+        {(n1, o1 - n1) for (o1, _), (n1s, _) in support.items() for n1 in n1s}
+    ))}
+    cols = {c: j for j, c in enumerate(sorted(
+        {(n2, o2 - n2) for (_, o2), (_, n2s) in support.items() for n2 in n2s}
+    ))}
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for (a, c), amp in terms.items():
-        mat[rows[a], cols[c]] = amp
+    for (o1, o2), (n1s, n2s) in support.items():
+        at = np.ix_([rows[n, o1 - n] for n in n1s], [cols[n, o2 - n] for n in n2s])
+        mat[at] = b.blocks[o1, o2][np.ix_(n1s, n2s)]
     sv = np.linalg.svd(mat, compute_uv=False)
     total = float(np.sum(sv**2))
     if total == 0.0:

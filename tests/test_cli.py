@@ -414,6 +414,22 @@ def test_cascade_network_file(tmp_path, capsys):
     assert powers["2 mod 4"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cascade_network_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # Each stage passes even l to port A, which feeds the next stage.
+    net = tmp_path / "chain.txt"
+    lines = [f"stage s{i} theta=0.7853981633974483 phi=0" for i in range(3000)]
+    lines += [f"route s{i}.A -> s{i + 1}" for i in range(2999)]
+    net.write_text("\n".join(lines) + "\n")
+    code, _, _ = run(
+        capsys, "--out-dir", str(tmp_path), "cascade", "--network", str(net), "--l", "2",
+    )
+    assert code == 0
+    rows = (tmp_path / "cascade.csv").read_text().strip().split("\n")[1:]
+    powers = {r.split(",")[1]: float(r.split(",")[2]) for r in rows}
+    assert len(powers) == 3001
+    assert powers["s2999.A"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cascade_bad_network_exits_3(tmp_path, capsys):
     net = tmp_path / "net.txt"
     for text in ("nonsense\n", "tree x\n"):
@@ -476,6 +492,18 @@ def test_pipeline_bell(tmp_path, capsys):
     assert "schmidt: (0.7071068, 0.7071068)" in out
     assert "post_selection=0.72727272727272729" in out
     assert (tmp_path / "pipeline_bell.txt").read_text() == out
+
+
+@pytest.mark.parametrize("name", ["bell", "herald", "herald-lg"])
+def test_pipeline_reports_match_recorded_bytes(tmp_path, capsys, name):
+    # Every digit of the 17-digit reports is pinned, so a change that moves
+    # a bit of a probability or amplitude has to update these files.
+    with open(os.path.join(os.path.dirname(__file__), "data", f"pipeline_{name}.txt"), "rb") as fh:
+        recorded = fh.read()
+    code, out, _ = run(capsys, "--out-dir", str(tmp_path), "pipeline", name)
+    assert code == 0
+    assert out.encode("ascii") == recorded
+    assert read(tmp_path / f"pipeline_{name}.txt") == recorded
 
 
 def test_pipeline_reports_skip_roundoff_terms(tmp_path, capsys):

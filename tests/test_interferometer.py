@@ -375,6 +375,16 @@ def test_cascade_routes_a_chain_deeper_than_the_recursion_limit():
     assert abs(got[0].power - 1.0) < 1e-12 and sum(leaf.power for leaf in got[1:]) < 1e-12
 
 
+def test_parse_network_builds_a_chain_deeper_than_the_recursion_limit():
+    lines = [f"stage s{i} theta=0.8 phi=0" for i in range(3000)]
+    lines += [f"route s{i}.A -> s{i + 1}" for i in range(2999)]
+    node = I.parse_network("\n".join(lines) + "\n")
+    for i in range(3000):
+        assert (node.label, node.child_b.label) == (f"s{i}", f"s{i}.B")
+        node = node.child_a
+    assert node.is_leaf and node.label == "s2999.A"
+
+
 _hg_index = st.integers(0, M.MAX_ORDER).flatmap(
     lambda order: st.integers(0, order).map(lambda n: (n, order - n))
 )

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,57 @@ def test_sort_probabilities_sum_to_one_up_to_max_order(terms, theta, phi):
     result = Q.sort_biphoton(Q.BiphotonExpansion(terms), SagnacStage(theta, phi))
     total = sum(br.probability for br in result.branches.values())
     assert abs(total - 1.0) <= 1e-12
+
+
+_hg_index_12 = st.integers(0, 12).flatmap(
+    lambda order: st.integers(0, order).map(lambda n: (n, order - n))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.dictionaries(st.tuples(_hg_index_12, _hg_index_12), _amplitude, min_size=1, max_size=30),
+    theta=st.one_of(st.just(math.pi / 4), st.floats(0.0, math.pi)),
+    phi=st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi)),
+)
+def test_sort_by_order_groups_matches_reference_on_sparse_blocks(terms, theta, phi):
+    # Sparse block patterns: rows of blocks share photon-2 orders, some rows
+    # and columns hold one block, and the parity stage empties branches.
+    b = Q.BiphotonExpansion(terms)
+    stage = SagnacStage(theta, phi)
+    triggers = sorted({M.HGIndex(*a) for a, _ in terms})
+    assert_sort_matches_reference(b, stage, triggers)
+    result = Q.sort_biphoton(b, stage)
+    for name, branch in result.branches.items():
+        if branch.state is None:
+            continue
+        for block in branch.state.blocks.values():
+            assert not block.flags.writeable and np.any(block)
+            assert not any(np.shares_memory(block, given) for given in b.blocks.values())
+        if name in ("AB", "BA"):
+            for trig in triggers:
+                try:
+                    heralded = Q.herald(result, name[0], trig)
+                except ValueError:  # nothing behind this trigger
+                    continue
+                assert not any(block.flags.writeable for block in heralded.spatial.blocks.values())
+
+
+def test_sort_memory_follows_the_support():
+    # One term per (o, o) block up to o = 100: 5.6 MB of blocks.  A dense
+    # matrix over the occupied orders would be 424 MB, about 76 times that.
+    b = Q.BiphotonExpansion({((o, 0), (0, o)): 1.0 + o for o in range(101)})
+    given = sum(block.nbytes for block in b.blocks.values())
+    stage = SagnacStage(0.6, 0.4)
+    Q.sort_biphoton(b, stage)  # builds the cached per-order LG bases outside the trace
+    tracemalloc.start()
+    try:
+        result = Q.sort_biphoton(b, stage)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(branch.state is not None for branch in result.branches.values())
+    assert peak < 16 * given
 
 
 def test_sort_preserves_exchange_symmetry():

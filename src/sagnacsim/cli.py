@@ -2,8 +2,8 @@
 
 Subcommands: mode, sort, interfere, sweep-theta, cascade, pipeline.
 All artifacts are byte-deterministic for identical invocations: fixed
-float formatting, no timestamps, versions recorded in a sidecar
-``metadata.txt``.  Exit codes: 0 success, 2 usage, 3 numeric/model error.
+float formatting, no timestamps, version and arguments recorded in a
+sidecar ``metadata.txt``.  Exit codes: 0 success, 2 usage, 3 numeric/model error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -168,8 +169,9 @@ def _write_metadata(args) -> None:
         f"grid_size {args.grid_size}",
         f"half_width {formats.fmt_float(args.half_width_value)}",
         f"format {args.format}",
+        f"argv {shlex.join(args.argv)}",
     ]
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -250,15 +252,14 @@ def cmd_interfere(args) -> int:
             reference.geometry,
         )
 
+    # Pixel (i, j) sits at (x, y) = (xs[j], xs[i]); the shifted reference
+    # and its tilt, a phase along x, keep both beams separable.
     xs = grid.axis()
-    # Pixel (i, j) sits at (x, y) = (xs[j], xs[i]); a row of x and a column
-    # of y broadcast to the grid without building it per coordinate.
-    x, y = xs[None, :], xs[:, None]
     tau = math.pi * args.tilt / grid.half_width
     dx, dy = (offset[0] * geom.w0, offset[1] * geom.w0)
-    out_field = evaluate_expansion(output, x, y)
-    ref_field = evaluate_expansion(reference, x - dx, y - dy) * np.exp(
-        1j * (tau * x + args.ref_phase)
+    out_field = evaluate_expansion(output, xs, xs)
+    ref_field = evaluate_expansion(reference, xs - dx, xs - dy) * np.exp(
+        1j * (tau * xs + args.ref_phase)
     )
     inten = np.abs(out_field + ref_field) ** 2
 
@@ -685,11 +686,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    args.argv = argv
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         # A render that overflows shows as non-finite values, which

@@ -315,21 +315,20 @@ def parse_network(text: str) -> CascadeNode:
         raise ValueError("a stage is routed to more than once")
     roots = [name for name in stages if name not in children]
     if len(roots) != 1:
-        raise ValueError(f"network must have exactly one root, found {len(roots)}")
+        # With no root every stage is routed to, so each lies on a cycle or below one.
+        which = _stage_names(roots) if roots else f"every stage is routed to: {_stage_names(list(stages))}"
+        raise ValueError(f"network must have exactly one root, found {len(roots)} ({which})")
 
     # Depth-first from the root with an explicit stack, port A first; a
     # stage is built once both children are, so a deep chain cannot
-    # exhaust Python's recursion limit.  ``visiting`` is the current path.
-    visiting: set[str] = set()
+    # exhaust Python's recursion limit.  With one route into each stage, no
+    # cycle is reachable from the root: a cycle shows as unreached stages.
     reached: set[str] = set()
     built: dict[str, CascadeNode] = {}
     todo = [(roots[0], False)]
     while todo:
         name, expanded = todo.pop()
         if not expanded:
-            if name in visiting:
-                raise ValueError(f"network contains a cycle through '{name}'")
-            visiting.add(name)
             reached.add(name)
             todo.append((name, True))
             todo += [
@@ -342,12 +341,17 @@ def parse_network(text: str) -> CascadeNode:
         for port in ("A", "B"):
             route = routes.get((name, port))
             kids[port] = CascadeNode(label=f"{name}.{port}") if route is None else built.pop(route[0])
-        visiting.discard(name)
         built[name] = CascadeNode(label=name, stage=stages[name], child_a=kids["A"], child_b=kids["B"])
     root = built[roots[0]]
-    if reached != set(stages):
-        raise ValueError("network contains stages unreachable from the root")
+    unreached = [name for name in stages if name not in reached]
+    if unreached:
+        raise ValueError(f"network contains stages unreachable from the root: {_stage_names(unreached)}")
     return root
+
+
+def _stage_names(names: list[str]) -> str:
+    """The first five stage names, quoted, then '...' if there are more."""
+    return ", ".join([f"'{name}'" for name in names[:5]] + ["..."] * (len(names) > 5))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ phase or wavefront curvature is tracked.
 
 Beam states are finite complex expansions over the HG basis
 (:class:`ModeExpansion`), stored as one coefficient vector per total
-order.  Grid sampling, overlap decomposition, parity labels, and
+order.  Every grid image is the separable product Hy^T C Hx of
+:func:`evaluate_expansion`; overlap decomposition, parity labels, and
 transverse rotation operators complete the toolkit.  Rotations, and the
 Sagnac stages built on them, are diagonal multiplies between
 :func:`_to_oam` and :func:`_from_oam`, which carry the blocks to the LG
@@ -307,13 +308,6 @@ class GridField:
         return complex(np.sum(np.conj(self.values) * other.values) * self.spec.dx**2)
 
 
-def _ladders_for(spec: GridSpec, geom: BeamGeometry, nmax: int, mmax: int):
-    xs = spec.axis()
-    hx = hermite_gauss_ladder(nmax, xs, geom.w0)
-    hy = hx if mmax == nmax else hermite_gauss_ladder(mmax, xs, geom.w0)
-    return hx, hy
-
-
 def _coeff_matrix(expansion: ModeExpansion) -> np.ndarray:
     """Nonempty expansion as the matrix C[m, n] over its occupied n and m ranges."""
     occupied = [(o, np.flatnonzero(block), block) for o, block in expansion.blocks.items()]
@@ -326,30 +320,27 @@ def _coeff_matrix(expansion: ModeExpansion) -> np.ndarray:
 
 
 def sample_mode(expansion: ModeExpansion, spec: GridSpec) -> GridField:
-    """Pointwise evaluation of an expansion on a grid; linear in coefficients."""
-    n = spec.samples_per_side
-    if not expansion.blocks:
-        return GridField(spec, np.zeros((n, n), dtype=complex))
-    coeff = _coeff_matrix(expansion)
-    hx, hy = _ladders_for(spec, expansion.geometry, coeff.shape[1] - 1, coeff.shape[0] - 1)
-    # Separable assembly: field = Hy^T C Hx.
-    return GridField(spec, hy.T @ coeff @ hx)
+    """The expansion rendered on a grid by :func:`evaluate_expansion`."""
+    axis = spec.axis()
+    return GridField(spec, evaluate_expansion(expansion, axis, axis))
 
 
-def evaluate_expansion(expansion: ModeExpansion, x, y) -> np.ndarray:
-    """Field of an expansion at arbitrary points (vectorized over x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def evaluate_expansion(expansion: ModeExpansion, xs, ys) -> np.ndarray:
+    """Field of an expansion on the grid of 1-D axes xs and ys, with pixel
+    [i, j] at (xs[j], ys[i]): the sum over C[m, n] h_n(x) h_m(y) as one
+    product Hy^T C Hx of the coefficient matrix and a ladder per axis.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise ValueError("evaluate_expansion takes 1-D x and y axes")
     if not expansion.blocks:
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+        return np.zeros((len(ys), len(xs)), dtype=complex)
     w0 = expansion.geometry.w0
     coeff = _coeff_matrix(expansion)
-    hx = hermite_gauss_ladder(coeff.shape[1] - 1, x, w0)
-    hy = hermite_gauss_ladder(coeff.shape[0] - 1, y, w0)
-    # field = sum_mn C[m, n] hx[n] hy[m]: a matrix product over n, then a
-    # broadcast sum over m.  Each ladder keeps its own points' shape, so an
-    # x row and a y column cost two ladders of one axis each.
-    return np.einsum("m...,m...->...", hy, np.tensordot(coeff, hx, axes=1))
+    hx = hermite_gauss_ladder(coeff.shape[1] - 1, xs, w0)
+    hy = hermite_gauss_ladder(coeff.shape[0] - 1, ys, w0)
+    return hy.T @ coeff @ hx
 
 
 def sample_lg(idx: LGIndex, geom: BeamGeometry, spec: GridSpec) -> GridField:
@@ -413,9 +404,9 @@ def decompose_grid(
         raise ValueError(f"order too large: {max_order} exceeds {MAX_ORDER}")
     if _lobe_samples(field.spec, geom, max_order) < 6.0:
         raise ValueError("grid under-resolved for requested order")
-    hx, hy = _ladders_for(field.spec, geom, max_order, max_order)
-    # c_nm = sum_ij hy[m, i] hx[n, j] F[i, j] dx^2, batched as Hy F Hx^T.
-    coeffs = (hy @ field.values @ hx.T) * field.spec.dx**2
+    h = hermite_gauss_ladder(max_order, field.spec.axis(), geom.w0)
+    # c_nm = sum_ij h[m, i] h[n, j] F[i, j] dx^2, batched as H F H^T.
+    coeffs = (h @ field.values @ h.T) * field.spec.dx**2
     out = ModeExpansion({}, geom)._with_blocks({
         o: coeffs[o - np.arange(o + 1), np.arange(o + 1)] for o in range(max_order + 1)
     })

@@ -320,8 +320,7 @@ def fiber_filter_single(
     Returns the projected expansion and the transmitted power fraction.
     A zero projection is flagged with a warning, not an error.
     """
-    kept = {i: c for i, c in expansion.terms.items() if i.order <= 1}
-    out = ModeExpansion(kept, expansion.geometry)
+    out = expansion._with_blocks({o: b for o, b in expansion.blocks.items() if o <= 1})
     total = expansion.norm_sq()
     fraction = out.norm_sq() / total if total > 0 else 0.0
     if total > 0 and out.norm_sq() == 0.0:

@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -166,6 +167,28 @@ def test_metadata_sidecar(tmp_path, capsys):
     assert "command mode" in meta
 
 
+@pytest.mark.parametrize("argv", [
+    ("mode", "hg:1,1", "--phase", "--grid-size", "64"),
+    ("--format", "csv", "interfere", "hg45", "--analyze-fork", "--grid-size", "64"),
+    ("--w0", "0.5", "sort", "my 'mode'.hgx", "--theta", "1.0", "--grid-size", "64"),
+    ("cascade", "--l=-2..2"),
+    ("pipeline", "bell", "--c0", "0.6"),
+])
+def test_metadata_argv_reruns_the_command(tmp_path, capsys, monkeypatch, argv):
+    def run_in(directory, args):
+        directory.mkdir()
+        (directory / "my 'mode'.hgx").write_text("hg-expansion v1 w0=1\n1 0 0.6 0\n0 1 0 0.8\n")
+        monkeypatch.chdir(directory)
+        code, _, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        return {p.name: p.read_bytes() for p in (directory / "out").iterdir()}
+
+    first = run_in(tmp_path / "first", ("--out-dir", "out", *argv))
+    lines = first["metadata.txt"].decode("ascii").splitlines()
+    assert lines[-1] == "argv " + shlex.join(("--out-dir", "out", *argv))
+    assert run_in(tmp_path / "second", shlex.split(lines[-1][len("argv "):])) == first
+
+
 # ---------------------------------------------------------------------------
 # sort
 # ---------------------------------------------------------------------------
@@ -313,6 +336,35 @@ def test_interfere_hg45_extra_mirror(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "hg45_interference.pgm").exists()
+
+
+@pytest.mark.parametrize("spec", ["hg:1,0", "hg45", "lg:2,3"])
+def test_interfere_matches_per_term_reference(tmp_path, capsys, spec):
+    from sagnacsim import modes as M
+
+    geom = M.BeamGeometry(1.0)
+    grid = M.default_grid(geom)
+    x, y = np.meshgrid(grid.axis(), grid.axis())
+    # The sorter output is the input turned by 90 degrees, E(y, -x).  For
+    # hg45 the reference arm's extra mirror reads E(-x, y), and its default
+    # offset moves the reference sideways as well as down.
+    mirror, (dx, dy) = (-1.0, (0.75, -0.75)) if spec == "hg45" else (1.0, cli.FORK_OFFSET)
+    tilt = np.exp(1j * (math.pi * cli.FORK_TILT_FRINGES / grid.half_width * x + cli.FORK_REF_PHASE))
+    field = np.zeros(x.shape, dtype=complex)
+    for idx, amp in cli.parse_mode_spec(spec, geom).terms.items():
+        field += amp * M.hg_field_at(idx, y, -x, geom)
+        field += amp * M.hg_field_at(idx, mirror * (x - dx), y - dy, geom) * tilt
+    want = np.abs(field[::-1]) ** 2
+
+    for fmt in ("csv", "pgm"):
+        code, _, err = run(capsys, "--out-dir", str(tmp_path), "--format", fmt, "interfere", spec)
+        assert (code, err) == (0, "")
+    stem = tmp_path / f"{cli._stem(spec)}_interference"
+    text = stem.with_suffix(".csv").read_text()
+    got = np.array([[float(v) for v in row.split(",")] for row in text.splitlines()])
+    assert np.max(np.abs(got - want)) < 1e-12 * want.max()
+    _, _, _, _, levels = F.parse_pnm(read(stem.with_suffix(".pgm")))
+    assert np.array_equal(levels, F.scale_to_levels(got))
 
 
 # ---------------------------------------------------------------------------

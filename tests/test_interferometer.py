@@ -502,6 +502,30 @@ def test_network_errors():
         I.parse_network("stage a theta=0.8 phi=0\nroute a.A -> ghost\n")
 
 
+def test_network_root_and_reach_errors_name_the_stages():
+    def message(text):
+        with pytest.raises(ValueError) as info:
+            I.parse_network(text)
+        return str(info.value)
+
+    stage = "stage {} theta=0.8 phi=0\n".format
+    # A cycle with no root: every stage is named, in file order.
+    assert message(stage("a") + stage("b") + "route b.A -> a\nroute a.A -> b\n") == (
+        "network must have exactly one root, found 0 (every stage is routed to: 'a', 'b')"
+    )
+    # A cycle beside a rooted tree is named as the unreachable stages.
+    assert message(
+        stage("a") + stage("c") + stage("b") + "route b.A -> c\nroute c.A -> b\n"
+    ) == "network contains stages unreachable from the root: 'c', 'b'"
+    # At most five names, then '...'.
+    assert message("".join(stage(f"s{k}") for k in range(7))) == (
+        "network must have exactly one root, found 7 ('s0', 's1', 's2', 's3', 's4', ...)"
+    )
+    assert message(stage("r") + stage("s") + "route r.A -> s\n" + stage("t")).endswith(
+        "found 2 ('r', 't')"
+    )
+
+
 def test_stage_validates_on_construction():
     for theta, phi in ((0.5, float("nan")), (0.5, math.inf), (5.0, 0.0), (-0.1, 0.0), (math.nan, 0.0)):
         with pytest.raises(ValueError, match="theta must lie in|phi must be finite"):

@@ -126,12 +126,13 @@ def lg_polar_field(p, l, x, y):
 
 def test_lg_to_hg_matches_polar_field():
     rng = np.random.default_rng(3)
-    x, y = rng.uniform(-2.5, 2.5, size=(2, 200))
+    x = rng.uniform(-2.5, 2.5, size=30)
+    y = rng.uniform(-2.5, 2.5, size=20)
     for p, l in ((0, 1), (0, -2), (1, 0), (1, 1), (1, -1), (2, 3), (3, 1), (2, -4)):
         e = M.lg_to_hg(M.LGIndex(p, l), GEOM)
         assert e.norm_sq() == pytest.approx(1.0, abs=1e-14)
         got = M.evaluate_expansion(e, x, y)
-        assert np.max(np.abs(got - lg_polar_field(p, l, x, y))) < 1e-12
+        assert np.max(np.abs(got - lg_polar_field(p, l, x[None, :], y[:, None]))) < 1e-12
     # p = 0 against the binomial synthesis, phases included, to high order
     for l in (5, -12, 40, -40):
         e = M.lg_to_hg(M.LGIndex(0, l), GEOM)
@@ -551,12 +552,16 @@ def test_evaluate_expansion_matches_per_term_sum():
     # Sparse and irregular support: the occupied n and m ranges differ.
     terms = {(0, 3): 0.4 - 0.2j, (5, 1): -0.3j, (2, 2): 0.25, (7, 0): 0.1 + 0.1j}
     e = M.ModeExpansion(terms, geom)
+    # Unequal, unsorted axes: pixel [i, j] sits at (x[j], y[i]).
     x = rng.uniform(-3.0, 3.0, size=40)
-    y = rng.uniform(-3.0, 3.0, size=(7, 1))
+    y = rng.uniform(-3.0, 3.0, size=7)
     got = M.evaluate_expansion(e, x, y)
     assert got.shape == (7, 40)
-    assert np.max(np.abs(got - reference_evaluate(e, x, y))) < 1e-13
-    assert M.evaluate_expansion(e, 0.3, -0.2) == pytest.approx(
-        complex(reference_evaluate(e, 0.3, -0.2)), abs=1e-14
-    )
-    assert np.all(M.evaluate_expansion(M.ModeExpansion({}, geom), x, y) == 0)
+    assert np.max(np.abs(got - reference_evaluate(e, x[None, :], y[:, None]))) < 1e-13
+    point = M.evaluate_expansion(e, [0.3], [-0.2])
+    assert point.shape == (1, 1)
+    assert point[0, 0] == pytest.approx(complex(reference_evaluate(e, 0.3, -0.2)), abs=1e-14)
+    empty = M.evaluate_expansion(M.ModeExpansion({}, geom), x, y)
+    assert empty.shape == (7, 40) and np.all(empty == 0)
+    with pytest.raises(ValueError, match="1-D x and y axes"):
+        M.evaluate_expansion(e, x[None, :], y[:, None])

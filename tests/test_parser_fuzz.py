@@ -26,7 +26,6 @@ WHOLE_FILE = (
     "missing 'hg-expansion v1' header",
     "network defines no stages",
     "exactly one root",
-    "contains a cycle",
     "unreachable from the root",
     "routed to more than once",
     "'tree' cannot be combined",

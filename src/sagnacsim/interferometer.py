@@ -21,15 +21,15 @@ blocks (:func:`sagnacsim.modes._to_oam`), which keeps port powers
 conserved to machine precision at every order.  A tree of such stages
 sorts OAM by residue, the Sagnac counterpart of the Mach-Zehnder cascade
 of Leach et al., PRL 88, 257901 (2002).  A cascade computes the port
-factors of all its stages at once and takes all its leaves back to HG
-blocks together, in one product per order.
+factors of all its stages at once and returns each leaf's power with its
+LG amplitudes; a leaf goes back to HG blocks only when its state is read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -183,9 +183,22 @@ def cascade_build(depth: int) -> CascadeNode:
 
 @dataclass
 class LeafPower:
+    """One leaf of a routed cascade: its label and share of the input power.
+
+    ``state`` is the leaf's HG expansion, built from its LG amplitudes when
+    first read and kept; it is None for an :class:`LGIndex` input.
+    """
+
     label: str
     power: float
-    state: ModeExpansion | None = None
+    _source: ModeExpansion | None = field(repr=False, compare=False)
+    _row: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> ModeExpansion | None:
+        if self._source is None:
+            return None
+        return self._source._with_blocks(_from_oam(self._source.blocks, self._row))
 
 
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
@@ -194,13 +207,13 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     The input is taken to LG amplitudes once.  A depth-first walk lists
     the stages, whose port factors are then computed all at once; a second
     walk in the same order only multiplies each node's amplitudes by its
-    stage's factors.  Both walks keep their own stack, so they hold no
-    arrays in reference cycles and a deep network cannot exhaust Python's
-    recursion limit.  The leaves' amplitudes form one matrix, which goes
-    back to HG blocks in one product per order.
+    stage's factors, and each leaf keeps its amplitudes and power.  Both
+    walks keep their own stack, so they hold no arrays in reference cycles
+    and a deep network cannot exhaust Python's recursion limit.
     An :class:`LGIndex` input is the single amplitude 1 at its l, so its
-    leaves carry powers only; a :class:`ModeExpansion` input also gets each
-    leaf state.  Leaves are listed in depth-first order, port A first.
+    leaves carry powers only; a :class:`ModeExpansion` input's leaves go
+    back to HG, each on the first read of its ``state``.  Leaves are listed
+    in depth-first order, port A first.
     """
     if isinstance(input_state, LGIndex):
         expansion, total = None, 1.0
@@ -224,32 +237,18 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
         np.array([cmath.exp(1j * stage.phi) for stage in stages])[:, None],
         l,
     )
-    labels: list[str] = []
-    rows: list[np.ndarray] = []  # the leaves' amplitudes
+    leaves: list[LeafPower] = []
     todo = [(node, w)]  # the same walk meets the stages in the same order
     k = 0
     while todo:
         n, amps = todo.pop()
         if n.is_leaf:
-            labels.append(n.label)
-            rows.append(amps)
+            power = float(np.vdot(amps, amps).real) / total
+            leaves.append(LeafPower(n.label, power, expansion, amps))
         else:
             todo += ((n.child_b, factor_b[k] * amps), (n.child_a, factor_a[k] * amps))
             k += 1
-    amps = np.array(rows)  # one row per leaf
-    powers = [float(np.vdot(row, row).real) / total for row in amps]
-    if expansion is None:
-        return [LeafPower(label, power) for label, power in zip(labels, powers)]
-    per_order = []
-    for o, block in _from_oam(expansion.blocks, amps.T).items():
-        block.setflags(write=False)  # once: the leaves' blocks are its columns
-        per_order.append((o, list(block.T), np.any(block, axis=0).tolist()))
-    return [
-        LeafPower(label, power, expansion._adopt(
-            {o: blocks[i] for o, blocks, nonzero in per_order if nonzero[i]}
-        ))
-        for i, (label, power) in enumerate(zip(labels, powers))
-    ]
+    return leaves
 
 
 def parse_network(text: str) -> CascadeNode:
@@ -386,10 +385,9 @@ class FaradayRotator:
     propagation direction, not relative to the lab)."""
 
     angle: float
-    field_sign: int = 1
 
     def matrix(self) -> np.ndarray:
-        return rotation2(self.angle * self.field_sign)
+        return rotation2(self.angle)
 
 
 @dataclass(frozen=True)
@@ -403,10 +401,6 @@ class Waveplate:
     axis_angle: float
     phase_axis: float
     phase_perp: float = 0.0
-
-    @classmethod
-    def from_retardance(cls, retardance: float, axis_angle: float) -> "Waveplate":
-        return cls(axis_angle=axis_angle, phase_axis=retardance)
 
     def matrix(self) -> np.ndarray:
         u = np.array([math.cos(self.axis_angle), math.sin(self.axis_angle)])

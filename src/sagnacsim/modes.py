@@ -179,16 +179,11 @@ class ModeExpansion:
 
     def _with_blocks(self, blocks) -> "ModeExpansion":
         """This expansion's geometry with the nonzero ``blocks``, unvalidated."""
-        kept = {o: block for o, block in blocks.items() if np.count_nonzero(block)}
-        for block in kept.values():
-            block.setflags(write=False)
-        return self._adopt(kept)
-
-    def _adopt(self, blocks) -> "ModeExpansion":
-        """This expansion's geometry holding ``blocks`` as given: each one
-        already nonzero and read-only."""
         out = object.__new__(ModeExpansion)
-        out.blocks, out.geometry = blocks, self.geometry
+        out.blocks = {o: block for o, block in blocks.items() if np.count_nonzero(block)}
+        for block in out.blocks.values():
+            block.setflags(write=False)
+        out.geometry = self.geometry
         return out
 
     @property
@@ -493,12 +488,7 @@ def _to_oam(blocks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_oam(orders, w: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-order blocks V w of amplitudes laid out by :func:`_to_oam` for ``orders``.
-
-    ``w`` is one vector of amplitudes, or a matrix holding one such vector
-    per column; then each order takes one product for all columns, and its
-    block holds a column per column of ``w``.
-    """
+    """Per-order blocks V w of amplitudes laid out by :func:`_to_oam` for ``orders``."""
     blocks = {}
     start = 0
     for o in orders:

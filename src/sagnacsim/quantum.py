@@ -500,18 +500,15 @@ def compressor_apply(state, spec: CompressorSpec):
     Acts as a unitary on the (HG10, HG01) subspace, leaves HG00 untouched,
     and rejects states with support above first order.
     """
-    mat = spec.matrix()
+    # Block order is n = 0..order, so the order-one block is (c_01, c_10).
+    ops = {0: np.ones((1, 1)), 1: spec.matrix()[::-1, ::-1]}
     if isinstance(state, ModeExpansion):
         if state.max_order() > 1:
             raise ValueError("compressor model limited to first order")
-        c10, c01 = (mat @ [state.coeff((1, 0)), state.coeff((0, 1))]).tolist()
-        out = {HGIndex(0, 0): state.coeff((0, 0)), HGIndex(1, 0): c10, HGIndex(0, 1): c01}
-        return ModeExpansion(out, state.geometry).pruned(1e-300)
+        return state._with_blocks({o: ops[o] @ block for o, block in state.blocks.items()})
     if isinstance(state, BiphotonExpansion):
         if any(max(key) > 1 for key in state.blocks):
             raise ValueError("compressor model limited to first order")
-        # Block order is n = 0..order, so the order-one block is (c_01, c_10).
-        ops = {0: np.ones((1, 1)), 1: mat[::-1, ::-1]}
         return state._with_blocks(
             {(o1, o2): ops[o1] @ block @ ops[o2].T for (o1, o2), block in state.blocks.items()}
         )

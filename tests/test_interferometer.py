@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,37 @@ def test_cascade_routes_a_chain_deeper_than_the_recursion_limit():
     got = I.cascade_route(node, M.ModeExpansion({(1, 1): 1.0}, GEOM))
     assert [leaf.label for leaf in got] == ["end"] + [f"s{i}.B" for i in range(3000)]
     assert abs(got[0].power - 1.0) < 1e-12 and sum(leaf.power for leaf in got[1:]) < 1e-12
+
+
+def test_cascade_builds_a_leaf_state_only_when_read(monkeypatch):
+    calls = []
+    from_oam = I._from_oam
+    monkeypatch.setattr(I, "_from_oam", lambda *args: calls.append(args) or from_oam(*args))
+    leaves = I.cascade_route(I.cascade_build(5), random_expansion(np.random.default_rng(7)))
+    assert calls == []
+    assert repr(leaves[3]) == f"LeafPower(label={leaves[3].label!r}, power={leaves[3].power!r})"
+    state = leaves[3].state
+    assert len(calls) == 1
+    assert leaves[3].state is state and len(calls) == 1
+
+
+def test_cascade_chain_holds_little_more_than_its_leaf_rows():
+    # 300 stages in a chain; a full order-40 input has D = 861 LG amplitudes,
+    # and each of the 301 leaves keeps one row of them.
+    lines = [f"stage s{i} theta=0.8 phi=0.3" for i in range(300)]
+    lines += [f"route s{i}.A -> s{i + 1}" for i in range(299)]
+    root = I.parse_network("\n".join(lines) + "\n")
+    e = random_expansion(np.random.default_rng(11), 40)
+    rows = 300 * 861 * 16
+    I.cascade_route(root, e)  # builds the cached per-order LG bases outside the trace
+    tracemalloc.start()
+    try:
+        leaves = I.cascade_route(root, e)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) == 301
+    assert held <= 1.2 * rows and peak <= 4.5 * rows
 
 
 def test_parse_network_builds_a_chain_deeper_than_the_recursion_limit():

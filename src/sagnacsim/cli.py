@@ -70,6 +70,10 @@ MAX_GRID_SIZE = 4096
 # Most OAM values one --l list may hold (each |l| is at most MAX_ORDER).
 MAX_L_VALUES = 1024
 
+# Most rows one sweep-theta table may hold; the rows are kept in memory
+# until the file is written, at about 230 bytes each.
+MAX_SWEEP_COUNT = 100_000
+
 # A CSV image is formatted and written in bands of whole rows holding about
 # this many values, so its text never exists whole.
 CSV_BAND_VALUES = 1 << 14
@@ -275,13 +279,11 @@ def cmd_interfere(args) -> int:
     return 0
 
 
-def fork_fringe_counts(
-    inten: np.ndarray, xs: np.ndarray, cut: float, threshold: float = FORK_THRESHOLD
-) -> tuple[int, int]:
+def fork_fringe_counts(inten: np.ndarray, xs: np.ndarray, cut: float) -> tuple[int, int]:
     """Count fringe maxima along the two horizontal analysis cuts."""
 
     def count(row: np.ndarray) -> int:
-        thr = threshold * float(row.max())
+        thr = FORK_THRESHOLD * float(row.max())
         hits = 0
         for i in range(1, len(row) - 1):
             if row[i] > thr and row[i] > row[i - 1] and row[i] >= row[i + 1]:
@@ -295,6 +297,8 @@ def fork_fringe_counts(
 
 def cmd_sweep_theta(args) -> int:
     _geometry(args)
+    if args.count > MAX_SWEEP_COUNT:
+        raise UsageError(f"count {args.count} is more than {MAX_SWEEP_COUNT}")
     rows = ["theta_rad,omega_rad,psi_rad"]
     for theta, omega, psi in sweep_theta(args.count, args.theta_min, args.theta_max):
         rows.append(

@@ -82,12 +82,21 @@ class PortPair:
 def _port_factors(omega, phase, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Port A and B amplitudes of LG modes with OAM ``l`` at image rotation
     ``omega`` and device phase factor ``phase`` = e^{i phi}: one stage's as
-    scalars, or several stages' as columns, one row per stage."""
-    plus = np.exp(-1j * l * omega)  # R(+Omega) eigenvalue
+    scalars, or several stages' as columns, one row per stage.  Each
+    exponential is taken in place and B is formed in the storage of the
+    R(+Omega) eigenvalues, so at most three result-sized arrays exist."""
+    plus = -1j * l * omega
+    np.exp(plus, out=plus)  # R(+Omega) eigenvalue
+    minus = 1j * l * omega
+    np.exp(minus, out=minus)
     # e^{i phi} multiplies the exponential instead of joining the exponent,
     # which would move the powers the CLI prints in their last digits.
-    minus = np.exp(1j * l * omega) * phase
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+    minus *= phase
+    a = plus + minus
+    a *= 0.5
+    plus -= minus
+    plus *= 0.5
+    return a, plus
 
 
 def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
@@ -144,8 +153,6 @@ class CascadeNode:
     stage: SagnacStage | None = None
     child_a: "CascadeNode | None" = None
     child_b: "CascadeNode | None" = None
-    residue: int | None = None
-    modulus: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -165,9 +172,7 @@ def cascade_build(depth: int) -> CascadeNode:
     def build(level: int, residue: int) -> CascadeNode:
         modulus = 2 ** (level - 1)
         if level > depth:
-            return CascadeNode(
-                label=f"{residue} mod {modulus}", residue=residue, modulus=modulus
-            )
+            return CascadeNode(label=f"{residue} mod {modulus}")
         psi = math.pi / 2 ** (level - 1)
         stage = SagnacStage(theta_for_psi(psi), phi=-residue * psi)
         node = CascadeNode(
@@ -318,34 +323,28 @@ def parse_network(text: str) -> CascadeNode:
         which = _stage_names(roots) if roots else f"every stage is routed to: {_stage_names(list(stages))}"
         raise ValueError(f"network must have exactly one root, found {len(roots)} ({which})")
 
-    # Depth-first from the root with an explicit stack, port A first; a
-    # stage is built once both children are, so a deep chain cannot
-    # exhaust Python's recursion limit.  With one route into each stage, no
-    # cycle is reachable from the root: a cycle shows as unreached stages.
+    # One node per stage, linked along the routes; an unrouted port is a
+    # leaf.  One stack walk from the root finds the reached stages, so a
+    # deep chain cannot exhaust Python's recursion limit.  With one route
+    # into each stage, no cycle is reachable from the root: a cycle shows
+    # as unreached stages.
+    nodes = {name: CascadeNode(label=name, stage=stage) for name, stage in stages.items()}
+    for name, node in nodes.items():
+        node.child_a, node.child_b = (
+            nodes[routes[name, port][0]] if (name, port) in routes else CascadeNode(f"{name}.{port}")
+            for port in "AB"
+        )
     reached: set[str] = set()
-    built: dict[str, CascadeNode] = {}
-    todo = [(roots[0], False)]
+    todo = [nodes[roots[0]]]
     while todo:
-        name, expanded = todo.pop()
-        if not expanded:
-            reached.add(name)
-            todo.append((name, True))
-            todo += [
-                (route[0], False)
-                for port in ("B", "A")
-                if (route := routes.get((name, port))) is not None
-            ]
-            continue
-        kids = {}
-        for port in ("A", "B"):
-            route = routes.get((name, port))
-            kids[port] = CascadeNode(label=f"{name}.{port}") if route is None else built.pop(route[0])
-        built[name] = CascadeNode(label=name, stage=stages[name], child_a=kids["A"], child_b=kids["B"])
-    root = built[roots[0]]
+        node = todo.pop()
+        if not node.is_leaf:
+            reached.add(node.label)
+            todo += (node.child_a, node.child_b)
     unreached = [name for name in stages if name not in reached]
     if unreached:
         raise ValueError(f"network contains stages unreachable from the root: {_stage_names(unreached)}")
-    return root
+    return nodes[roots[0]]
 
 
 def _stage_names(names: list[str]) -> str:

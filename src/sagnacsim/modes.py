@@ -13,7 +13,10 @@ phase or wavefront curvature is tracked.
 
 Beam states are finite complex expansions over the HG basis
 (:class:`ModeExpansion`), stored as one coefficient vector per total
-order.  Every grid image is the separable product Hy^T C Hx of
+order.  Its block rules (read-only blocks, each holding a nonzero entry,
+a finite norm, scaling, normalising and pruning) live in ``_Blocks``,
+which the two-photon state of :mod:`sagnacsim.quantum` shares.  Every
+grid image is the separable product Hy^T C Hx of
 :func:`evaluate_expansion`; overlap decomposition, parity labels, and
 transverse rotation operators complete the toolkit.  Rotations, and the
 Sagnac stages built on them, are diagonal multiplies between
@@ -99,13 +102,6 @@ def _check_index(idx) -> HGIndex:
     return idx
 
 
-def _check_norm(state) -> None:
-    """Reject a state whose squared norm overflows, which would make every
-    power computed from it nan."""
-    if not math.isfinite(state.norm_sq()):
-        raise ValueError("state norm is not finite: amplitudes too large")
-
-
 def hermite_gauss_ladder(nmax: int, x, w0: float) -> np.ndarray:
     """All 1-D waist-plane Hermite-Gauss factors h_0..h_nmax at points x.
 
@@ -148,7 +144,53 @@ def hg_field_at(idx: HGIndex, x, y, geom: BeamGeometry):
     return hx * hy
 
 
-class ModeExpansion:
+class _Blocks:
+    """Storage of both state types: ``blocks`` maps an order key to a read-only
+    complex array holding a nonzero entry.  A subclass extends :meth:`_adopt`
+    to carry its other fields and names itself in ``_noun`` for the errors."""
+
+    __slots__ = ("blocks", "geometry")
+
+    def _freeze(self) -> None:
+        """Make the blocks read-only; reject an overflowing norm, which makes every power nan."""
+        for block in self.blocks.values():
+            block.setflags(write=False)
+        if not math.isfinite(self.norm_sq()):
+            raise ValueError("state norm is not finite: amplitudes too large")
+
+    def _with_blocks(self, blocks):
+        """This state with the nonzero ``blocks``, made read-only; unvalidated."""
+        kept = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
+        for block in kept.values():
+            block.setflags(write=False)
+        return self._adopt(kept)
+
+    def _adopt(self, blocks):
+        """This state holding ``blocks`` as given: each already nonzero and read-only."""
+        out = object.__new__(type(self))
+        out.blocks, out.geometry = blocks, self.geometry
+        return out
+
+    def norm_sq(self) -> float:
+        return float(sum(np.vdot(block, block).real for block in self.blocks.values()))
+
+    def normalized(self):
+        n = math.sqrt(self.norm_sq())
+        if n == 0.0:
+            raise ValueError(f"cannot normalize a zero {self._noun}")
+        return self.scaled(1.0 / n)
+
+    def scaled(self, factor: complex):
+        return self._with_blocks({key: block * factor for key, block in self.blocks.items()})
+
+    def pruned(self, tol: float = 0.0):
+        """Drop terms with |amplitude| <= tol (exact zeros by default)."""
+        return self._with_blocks(
+            {key: np.where(np.abs(block) > tol, block, 0j) for key, block in self.blocks.items()}
+        )
+
+
+class ModeExpansion(_Blocks):
     """Finite complex expansion over the HG basis, stored per total order.
 
     ``blocks`` maps a total order o to a read-only complex vector of length
@@ -158,7 +200,8 @@ class ModeExpansion:
     :meth:`norm_sq` and never silently renormalized.
     """
 
-    __slots__ = ("blocks", "geometry")
+    __slots__ = ()
+    _noun = "expansion"
 
     def __init__(self, terms, geometry: BeamGeometry):
         self.blocks = {}
@@ -172,19 +215,8 @@ class ModeExpansion:
                 if idx.order not in self.blocks:
                     self.blocks[idx.order] = np.zeros(idx.order + 1, complex)
                 self.blocks[idx.order][idx.n] = amp
-        for block in self.blocks.values():
-            block.setflags(write=False)
-        _check_norm(self)
+        self._freeze()
         self.geometry = geometry
-
-    def _with_blocks(self, blocks) -> "ModeExpansion":
-        """This expansion's geometry with the nonzero ``blocks``, unvalidated."""
-        out = object.__new__(ModeExpansion)
-        out.blocks = {o: block for o, block in blocks.items() if np.count_nonzero(block)}
-        for block in out.blocks.values():
-            block.setflags(write=False)
-        out.geometry = self.geometry
-        return out
 
     @property
     def terms(self) -> Mapping[HGIndex, complex]:
@@ -202,20 +234,8 @@ class ModeExpansion:
             return 0j
         return complex(block[idx.n])
 
-    def norm_sq(self) -> float:
-        return float(sum(np.vdot(block, block).real for block in self.blocks.values()))
-
     def max_order(self) -> int:
         return max(self.blocks, default=0)
-
-    def normalized(self) -> "ModeExpansion":
-        n = math.sqrt(self.norm_sq())
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero expansion")
-        return self.scaled(1.0 / n)
-
-    def scaled(self, factor: complex) -> "ModeExpansion":
-        return self._with_blocks({o: block * factor for o, block in self.blocks.items()})
 
     def inner(self, other: "ModeExpansion") -> complex:
         """Hilbert-space inner product <self|other> (conjugate on self)."""
@@ -232,12 +252,6 @@ class ModeExpansion:
 
     def __sub__(self, other: "ModeExpansion") -> "ModeExpansion":
         return self + other.scaled(-1.0)
-
-    def pruned(self, tol: float = 0.0) -> "ModeExpansion":
-        """Drop terms with |amplitude| <= tol (exact zeros by default)."""
-        return self._with_blocks(
-            {o: np.where(np.abs(block) > tol, block, 0j) for o, block in self.blocks.items()}
-        )
 
     def __repr__(self):
         inside = ", ".join(

@@ -5,7 +5,8 @@ All states live in the post-selected two-photon subspace; probabilities
 are conditional on a pair being present.  The spatial part of a biphoton
 is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
 ``(o1 + 1, o2 + 1)`` and entry ``[n1, n2]`` multiplies HG_{n1, o1-n1} x
-HG_{n2, o2-n2}; only blocks holding a nonzero term are kept.  Sorting
+HG_{n2, o2-n2}; only blocks holding a nonzero term are kept, by the
+block core that :class:`~sagnacsim.modes.ModeExpansion` shares.  Sorting
 computes P1 C P2^T for every block with one product per photon order:
 the blocks of each photon-1 order side by side take P1 at once, and the
 results for each photon-2 order, stacked, take P2^T at once for all four
@@ -42,8 +43,8 @@ from .modes import (
     HGIndex,
     LGIndex,
     ModeExpansion,
+    _Blocks,
     _check_index,
-    _check_norm,
     rotation_matrix,
 )
 
@@ -64,14 +65,15 @@ DEFAULT_C2 = -0.03
 DEFAULT_GEOMETRY = BeamGeometry(1.0)
 
 
-class BiphotonExpansion:
+class BiphotonExpansion(_Blocks):
     """Finite expansion over ordered HG x HG products plus polarization.
 
     ``blocks`` maps ``(o1, o2)`` to a read-only coefficient block (layout in
     the module docstring); ``terms`` is derived from it.
     """
 
-    __slots__ = ("blocks", "polarization", "geometry")
+    __slots__ = ("polarization",)
+    _noun = "biphoton state"
 
     def __init__(self, terms, polarization=None, geometry: BeamGeometry = DEFAULT_GEOMETRY):
         self.blocks = {}
@@ -85,9 +87,7 @@ class BiphotonExpansion:
                 if (a.order, b.order) not in self.blocks:
                     self.blocks[a.order, b.order] = np.zeros((a.order + 1, b.order + 1), complex)
                 self.blocks[a.order, b.order][a.n, b.n] = amp
-        for block in self.blocks.values():
-            block.setflags(write=False)
-        _check_norm(self)
+        self._freeze()
         pol = dict(polarization) if polarization is not None else bell_polarization()
         for k in pol:
             if k not in POLARIZATION_KEYS:
@@ -95,18 +95,9 @@ class BiphotonExpansion:
         self.polarization = {k: complex(v) for k, v in pol.items()}
         self.geometry = geometry
 
-    def _with_blocks(self, blocks) -> "BiphotonExpansion":
-        """This state's polarization and geometry with the nonzero ``blocks``."""
-        kept = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
-        for block in kept.values():
-            block.setflags(write=False)
-        return self._adopt(kept)
-
     def _adopt(self, blocks) -> "BiphotonExpansion":
-        """This state's polarization and geometry holding ``blocks`` as given:
-        each one already nonzero and read-only."""
-        out = object.__new__(BiphotonExpansion)
-        out.blocks, out.polarization, out.geometry = blocks, dict(self.polarization), self.geometry
+        out = super()._adopt(blocks)
+        out.polarization = dict(self.polarization)
         return out
 
     @property
@@ -124,23 +115,6 @@ class BiphotonExpansion:
         if block is None or min(a.n, a.m, b.n, b.m) < 0:
             return 0j
         return complex(block[a.n, b.n])
-
-    def norm_sq(self) -> float:
-        return float(sum(np.vdot(block, block).real for block in self.blocks.values()))
-
-    def normalized(self) -> "BiphotonExpansion":
-        n = math.sqrt(self.norm_sq())
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero biphoton state")
-        return self.scaled(1.0 / n)
-
-    def scaled(self, factor: complex) -> "BiphotonExpansion":
-        return self._with_blocks({k: v * factor for k, v in self.blocks.items()})
-
-    def pruned(self, tol: float = 0.0) -> "BiphotonExpansion":
-        return self._with_blocks(
-            {k: np.where(np.abs(v) > tol, v, 0j) for k, v in self.blocks.items()}
-        )
 
     def is_exchange_symmetric(self, tol: float = 1e-12) -> bool:
         for (o1, o2), block in self.blocks.items():
@@ -312,9 +286,7 @@ def guided_modes(fiber: FiberSpec) -> list[LGIndex]:
     return [LGIndex(0, 0), LGIndex(0, 1), LGIndex(0, -1)]
 
 
-def fiber_filter_single(
-    expansion: ModeExpansion, renormalize: bool = False
-) -> tuple[ModeExpansion, float]:
+def fiber_filter_single(expansion: ModeExpansion) -> tuple[ModeExpansion, float]:
     """Project onto the guided span {HG00, HG10, HG01}.
 
     Returns the projected expansion and the transmitted power fraction.
@@ -325,8 +297,6 @@ def fiber_filter_single(
     fraction = out.norm_sq() / total if total > 0 else 0.0
     if total > 0 and out.norm_sq() == 0.0:
         warnings.warn("fiber filter removed all power", stacklevel=2)
-    if renormalize and out.norm_sq() > 0:
-        out = out.normalized()
     return out, fraction
 
 

@@ -404,6 +404,16 @@ def test_sweep_theta_count_guard(tmp_path, capsys):
     assert code == 3
 
 
+def test_sweep_theta_count_bounded_before_any_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep_theta", lambda *a: pytest.fail("rows were made"))
+    code, out, err = run(
+        capsys, "--out-dir", str(tmp_path), "sweep-theta", "--count", str(cli.MAX_SWEEP_COUNT + 1)
+    )
+    assert code == 2 and out == ""
+    assert err == f"usage error: count {cli.MAX_SWEEP_COUNT + 1} is more than {cli.MAX_SWEEP_COUNT}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # cascade
 # ---------------------------------------------------------------------------

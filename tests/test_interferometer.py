@@ -407,6 +407,25 @@ def test_cascade_chain_holds_little_more_than_its_leaf_rows():
     assert held <= 1.2 * rows and peak <= 4.5 * rows
 
 
+def test_stacked_port_factors_peak_at_three_result_sized_arrays():
+    # 300 stages stacked as rows over D = 861 LG amplitudes (order 40): the
+    # two factor arrays returned hold 2 of these units, and forming them
+    # needs at most one more.
+    rng = np.random.default_rng(5)
+    l = np.concatenate([np.arange(o, -o - 1, -2) for o in range(41)])
+    omega = rng.uniform(0.0, math.pi, (300, 1))
+    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (300, 1)))
+    unit = 300 * len(l) * 16
+    tracemalloc.start()
+    try:
+        factors = I._port_factors(omega, phase, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [f.shape for f in factors] == [(300, 861)] * 2
+    assert peak <= 3.2 * unit
+
+
 def test_parse_network_builds_a_chain_deeper_than_the_recursion_limit():
     lines = [f"stage s{i} theta=0.8 phi=0" for i in range(3000)]
     lines += [f"route s{i}.A -> s{i + 1}" for i in range(2999)]

@@ -28,6 +28,7 @@ from .interferometer import (
     sagnac_transfer,
 )
 from .modes import (
+    DEFAULT_HALF_WIDTH_W0,
     MAX_ORDER,
     BeamGeometry,
     GridSpec,
@@ -79,41 +80,25 @@ MAX_SWEEP_COUNT = 100_000
 CSV_BAND_VALUES = 1 << 14
 
 
-def _preset_hg45(geom: BeamGeometry) -> ModeExpansion:
-    inv = 1.0 / math.sqrt(2.0)
-    return ModeExpansion({HGIndex(1, 0): inv, HGIndex(0, 1): inv}, geom)
+_DIAGONAL = 1.0 / math.sqrt(2.0)
+_FIBER_FIRST = math.sqrt(0.15 / 2.0)
 
-
-def _preset_hg45m(geom: BeamGeometry) -> ModeExpansion:
-    inv = 1.0 / math.sqrt(2.0)
-    return ModeExpansion({HGIndex(1, 0): inv, HGIndex(0, 1): -inv}, geom)
-
-
-def _preset_fiber_demo(geom: BeamGeometry) -> ModeExpansion:
-    # Fiber output used in the sorting demo: 85 percent fundamental plus
-    # 15 percent split equally over the diagonal first-order superposition.
-    first = math.sqrt(0.15 / 2.0)
-    return ModeExpansion(
-        {
-            HGIndex(0, 0): math.sqrt(0.85),
-            HGIndex(1, 0): first,
-            HGIndex(0, 1): -first,
-        },
-        geom,
-    )
-
-
+# HG terms of each named mode spec.  The fiber output of the sorting demo
+# is 85 percent fundamental plus 15 percent split equally over the
+# diagonal first-order superposition.
 PRESETS = {
-    "hg45": _preset_hg45,
-    "hg45m": _preset_hg45m,
-    "fiber-demo": _preset_fiber_demo,
+    "hg45": {HGIndex(1, 0): _DIAGONAL, HGIndex(0, 1): _DIAGONAL},
+    "hg45m": {HGIndex(1, 0): _DIAGONAL, HGIndex(0, 1): -_DIAGONAL},
+    "fiber-demo": {
+        HGIndex(0, 0): math.sqrt(0.85), HGIndex(1, 0): _FIBER_FIRST, HGIndex(0, 1): -_FIBER_FIRST
+    },
 }
 
 
 def parse_mode_spec(spec: str, geom: BeamGeometry) -> ModeExpansion:
     """Resolve ``hg:n,m``, ``lg:p,l``, a preset name, or an expansion file."""
     if spec in PRESETS:
-        return PRESETS[spec](geom)
+        return ModeExpansion(PRESETS[spec], geom)
     if spec.startswith("hg:"):
         try:
             n, m = (int(p) for p in spec[3:].split(","))
@@ -183,7 +168,7 @@ def _geometry(args) -> BeamGeometry:
     """The beam of ``--w0``; also fixes the half width that metadata.txt
     records, whether or not the subcommand samples a grid."""
     geom = BeamGeometry(args.w0)
-    half = args.half_width if args.half_width is not None else 8.0 * args.w0
+    half = args.half_width if args.half_width is not None else DEFAULT_HALF_WIDTH_W0 * args.w0
     if not math.isfinite(half):
         raise ValueError("the default half width 8*w0 is not finite")
     args.half_width_value = half
@@ -199,7 +184,7 @@ def _geometry_and_grid(args) -> tuple[BeamGeometry, GridSpec]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_mode(args) -> int:
+def cmd_mode(args) -> None:
     geom, grid = _geometry_and_grid(args)
     stem = _stem(args.spec)
     field = sample_mode(parse_mode_spec(args.spec, geom), grid)
@@ -210,11 +195,9 @@ def cmd_mode(args) -> int:
         ppath = _image_paths(args, stem, "phase")
         _emit_image(args, ppath, np.angle(field.values[::-1]), formats.phase_levels)
         print(f"wrote {ppath}")
-    _write_metadata(args)
-    return 0
 
 
-def cmd_sort(args) -> int:
+def cmd_sort(args) -> None:
     geom, grid = _geometry_and_grid(args)
     expansion = parse_mode_spec(args.spec, geom)
     stage = SagnacStage(args.theta, args.phi)
@@ -229,11 +212,9 @@ def cmd_sort(args) -> int:
         _emit_image(args, path, np.abs(field.values[::-1]) ** 2, formats.scale_to_levels)
     print(f"port A power {pa:.6f}")
     print(f"port B power {pb:.6f}")
-    _write_metadata(args)
-    return 0
 
 
-def cmd_interfere(args) -> int:
+def cmd_interfere(args) -> None:
     geom, grid = _geometry_and_grid(args)
     if args.tilt < 0:
         raise UsageError("tilt must be nonnegative")
@@ -275,8 +256,6 @@ def cmd_interfere(args) -> int:
     if args.analyze_fork:
         upper, lower = fork_fringe_counts(inten, xs, cut=args.cut * geom.w0)
         print(f"fork upper={upper} lower={lower} diff={upper - lower}")
-    _write_metadata(args)
-    return 0
 
 
 def fork_fringe_counts(inten: np.ndarray, xs: np.ndarray, cut: float) -> tuple[int, int]:
@@ -295,7 +274,7 @@ def fork_fringe_counts(inten: np.ndarray, xs: np.ndarray, cut: float) -> tuple[i
     return count(inten[i_up]), count(inten[i_lo])
 
 
-def cmd_sweep_theta(args) -> int:
+def cmd_sweep_theta(args) -> None:
     _geometry(args)
     if args.count > MAX_SWEEP_COUNT:
         raise UsageError(f"count {args.count} is more than {MAX_SWEEP_COUNT}")
@@ -308,8 +287,6 @@ def cmd_sweep_theta(args) -> int:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {path}")
-    _write_metadata(args)
-    return 0
 
 
 def _parse_l_list(text: str) -> list[int]:
@@ -338,7 +315,7 @@ def _parse_l_list(text: str) -> list[int]:
     return [l for lo, hi in ranges for l in range(lo, hi + 1)]
 
 
-def cmd_cascade(args) -> int:
+def cmd_cascade(args) -> None:
     geom = _geometry(args)
     if args.network is not None:
         with open(args.network, "r", encoding="ascii") as fh:
@@ -361,8 +338,6 @@ def cmd_cascade(args) -> int:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {path}")
-    _write_metadata(args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +473,7 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
                     f" probability={formats.fmt_float(herald_result.probability)}"
                 )
                 for ref_name, ref in (
-                    ("hg45", _preset_hg45(geom)),
+                    ("hg45", ModeExpansion(PRESETS["hg45"], geom)),
                     ("lg+1", lg_to_hg(LGIndex(0, 1), geom)),
                     ("lg-1", lg_to_hg(LGIndex(0, -1), geom)),
                 ):
@@ -544,7 +519,7 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
     return report
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> None:
     _geometry(args)
     overrides = {}
     if args.c0 is not None:
@@ -568,8 +543,6 @@ def cmd_pipeline(args) -> int:
     path = os.path.join(args.out_dir, f"pipeline_{name}.txt")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
-    _write_metadata(args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +675,9 @@ def main(argv=None) -> int:
         # A render that overflows shows as non-finite values, which
         # _emit_image refuses with a message instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            args.func(args)
+        _write_metadata(args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

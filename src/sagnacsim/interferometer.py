@@ -23,6 +23,12 @@ sorts OAM by residue, the Sagnac counterpart of the Mach-Zehnder cascade
 of Leach et al., PRL 88, 257901 (2002).  A cascade computes the port
 factors of all its stages at once and returns each leaf's power with its
 LG amplitudes; a leaf goes back to HG blocks only when its state is read.
+
+The polarization elements are Jones-matrix functions: :func:`rotation2`
+(also the Faraday rotator), :func:`retarder` (a waveplate, and on the
+first-order modes (HG10, HG01) the fiber stress compressor) and
+:func:`pbs_split`.  :func:`phase_device` and :func:`faraday_isolator`
+chain them.
 """
 
 from __future__ import annotations
@@ -361,6 +367,10 @@ class JonesVector:
     h: complex = 0j
     v: complex = 0j
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.h) and cmath.isfinite(self.v)):
+            raise ValueError(f"Jones vector components must be finite, got ({self.h}, {self.v})")
+
     def norm_sq(self) -> float:
         return abs(self.h) ** 2 + abs(self.v) ** 2
 
@@ -373,56 +383,40 @@ DIAG_PLUS45 = JonesVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
 def rotation2(angle: float) -> np.ndarray:
+    """Rotation by ``angle``; also the lab-frame Jones matrix of a Faraday
+    rotator, the same for forward and backward passage (the rotation sense
+    flips relative to the propagation direction, not relative to the lab)."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
 
 
-@dataclass(frozen=True)
-class FaradayRotator:
-    """Nonreciprocal rotator: the lab-frame Jones matrix is the same for
-    forward and backward passage (the rotation sense flips relative to the
-    propagation direction, not relative to the lab)."""
+def retarder(axis_angle: float, phase_axis: float, phase_perp: float = 0.0) -> np.ndarray:
+    """Jones matrix of a retarder whose axis lies at ``axis_angle`` from
+    horizontal: the component along the axis picks up exp(i phase_axis),
+    the perpendicular one exp(i phase_perp).
 
-    angle: float
-
-    def matrix(self) -> np.ndarray:
-        return rotation2(self.angle)
-
-
-@dataclass(frozen=True)
-class Waveplate:
-    """Retarder with independent phases on its axis and the perpendicular.
-
-    ``axis_angle`` is measured from horizontal.  The usual single-number
-    retardance corresponds to phase_axis - phase_perp.
+    The usual single-number retardance is phase_axis - phase_perp.  On the
+    first-order mode pair (HG10, HG01) the same matrix is the fiber stress
+    compressor (:class:`sagnacsim.quantum.CompressorSpec`).
     """
-
-    axis_angle: float
-    phase_axis: float
-    phase_perp: float = 0.0
-
-    def matrix(self) -> np.ndarray:
-        u = np.array([math.cos(self.axis_angle), math.sin(self.axis_angle)])
-        proj = np.outer(u, u)
-        perp = np.eye(2) - proj
-        return cmath.exp(1j * self.phase_axis) * proj + cmath.exp(
-            1j * self.phase_perp
-        ) * perp
+    checked = {"axis_angle": axis_angle, "phase_axis": phase_axis, "phase_perp": phase_perp}
+    for name, value in checked.items():
+        if not math.isfinite(value):
+            raise ValueError(f"retarder {name} must be finite, got {value}")
+    u = np.array([math.cos(axis_angle), math.sin(axis_angle)])
+    proj = np.outer(u, u)
+    return cmath.exp(1j * phase_axis) * proj + cmath.exp(1j * phase_perp) * (np.eye(2) - proj)
 
 
-@dataclass(frozen=True)
-class PolarizingBeamSplitter:
-    """Transmits the component along its axis, deflects the perpendicular."""
-
-    axis_angle: float
-
-    def split(self, j: JonesVector) -> tuple[JonesVector, JonesVector]:
-        u = np.array([math.cos(self.axis_angle), math.sin(self.axis_angle)])
-        vec = j.as_array()
-        amp = complex(u @ vec)
-        transmitted = JonesVector(amp * u[0], amp * u[1])
-        rest = vec - amp * u
-        return transmitted, JonesVector(rest[0], rest[1])
+def pbs_split(pol: JonesVector, axis_angle: float) -> tuple[JonesVector, JonesVector]:
+    """Polarizing beam splitter with its axis at ``axis_angle`` from
+    horizontal: the transmitted component along the axis, then the
+    deflected perpendicular one."""
+    u = np.array([math.cos(axis_angle), math.sin(axis_angle)])
+    vec = pol.as_array()
+    amp = complex(u @ vec)
+    rest = vec - amp * u
+    return JonesVector(amp * u[0], amp * u[1]), JonesVector(rest[0], rest[1])
 
 
 def phase_device(
@@ -444,24 +438,15 @@ def phase_device(
     norm = math.sqrt(pol.norm_sq())
     if norm == 0.0 or abs(pol.h) > 1e-9 * norm:
         raise ValueError("device modeled for vertical polarization only")
-    # Fast axis at +45 deg; entry rotator maps V onto it, exit rotator maps
-    # it back.  Backward passage meets the same nonreciprocal rotators in
-    # reverse order, landing V on the slow axis instead.
-    fg_in = FaradayRotator(-math.pi / 4)
-    fg_out = FaradayRotator(math.pi / 4)
-    wp = Waveplate(
-        axis_angle=math.pi / 4,
-        phase_axis=retardance_fast,
-        phase_perp=retardance_slow,
-    )
-    if direction == "forward":
-        chain = fg_out.matrix() @ wp.matrix() @ fg_in.matrix()
-    else:
-        chain = fg_in.matrix() @ wp.matrix() @ fg_out.matrix()
-    out = chain @ vec
+    # Fast axis at +45 deg; the entry rotator (-45 deg) maps V onto it and
+    # the exit rotator (+45 deg) maps it back.  Backward passage meets the
+    # same nonreciprocal rotators in reverse order, landing V on the slow
+    # axis instead.
+    plate = retarder(math.pi / 4, retardance_fast, retardance_slow)
+    turn = math.pi / 4 if direction == "forward" else -math.pi / 4
+    out = rotation2(turn) @ plate @ rotation2(-turn) @ vec
     phase = cmath.phase(out[1] / vec[1])
-    result = JonesVector(complex(out[0]), complex(out[1]))
-    return result, phase
+    return JonesVector(complex(out[0]), complex(out[1])), phase
 
 
 @dataclass(frozen=True)
@@ -491,16 +476,11 @@ def faraday_isolator(pol: JonesVector, direction: str) -> IsolatorResult:
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    pbs1 = PolarizingBeamSplitter(math.pi / 4)  # +45 deg to vertical == 45 from H
-    pbs2 = PolarizingBeamSplitter(math.pi / 2)  # vertical
-    fg = FaradayRotator(math.pi / 4)
-    zero = JonesVector()
-    if direction == "forward":
-        into, defl1 = pbs1.split(pol)
-        rotated = fg.matrix() @ into.as_array()
-        out, defl2 = pbs2.split(JonesVector(rotated[0], rotated[1]))
-        return IsolatorResult(out, defl1, defl2)
-    into, defl2 = pbs2.split(pol)
-    rotated = fg.matrix() @ into.as_array()
-    out, defl1 = pbs1.split(JonesVector(rotated[0], rotated[1]))
+    fg = rotation2(math.pi / 4)
+    if direction == "forward":  # PBS1 at +45 deg (45 deg from H), PBS2 vertical
+        into, defl1 = pbs_split(pol, math.pi / 4)
+        out, defl2 = pbs_split(JonesVector(*(fg @ into.as_array())), math.pi / 2)
+    else:
+        into, defl2 = pbs_split(pol, math.pi / 2)
+        out, defl1 = pbs_split(JonesVector(*(fg @ into.as_array())), math.pi / 4)
     return IsolatorResult(out, defl1, defl2)

@@ -37,7 +37,7 @@ from typing import IO
 import numpy as np
 
 from .formats import at_line, numbered_lines, parse_number
-from .interferometer import SagnacStage
+from .interferometer import SagnacStage, retarder
 from .modes import (
     BeamGeometry,
     HGIndex,
@@ -439,7 +439,8 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
 
 @dataclass(frozen=True)
 class CompressorSpec:
-    """Stress compressor on the fiber: retarder analogy on first-order modes.
+    """Stress compressor on the fiber: the polarization retarder acting on
+    the first-order modes (HG10, HG01) as a waveplate acts on (H, V).
 
     ``axis_angle`` is the compression direction in the transverse plane
     (measured from x); the aligned first-order component picks up
@@ -452,13 +453,11 @@ class CompressorSpec:
     def __post_init__(self):
         if not 0.0 <= self.retardance < 2.0 * math.pi:
             raise ValueError("retardance must lie in [0, 2*pi)")
+        self.matrix()  # the retarder refuses a non-finite axis angle
 
     def matrix(self) -> np.ndarray:
         """2x2 unitary on (c_10, c_01)."""
-        u = np.array([math.cos(self.axis_angle), math.sin(self.axis_angle)])
-        proj = np.outer(u, u).astype(complex)
-        perp = np.eye(2, dtype=complex) - proj
-        return cmath.exp(1j * self.retardance) * proj + perp
+        return retarder(self.axis_angle, self.retardance)
 
 
 COMPRESS_Y_QUARTER = CompressorSpec(axis_angle=math.pi / 2, retardance=math.pi / 2)

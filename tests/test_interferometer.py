@@ -653,6 +653,34 @@ def test_phase_device_rejects_horizontal():
         I.phase_device(I.JonesVector(1.0, 0.0), "forward", 0.4, 0.2)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0.4), "axis_angle"),
+    ((math.inf, 0.4), "axis_angle"),
+    ((0.3, math.nan), "phase_axis"),
+    ((0.3, 0.4, -math.inf), "phase_perp"),
+])
+def test_retarder_refuses_non_finite_inputs(args, name):
+    with pytest.raises(ValueError, match=f"retarder {name} must be finite"):
+        I.retarder(*args)
+
+
+@pytest.mark.parametrize("direction, fast, slow, name", [
+    ("forward", math.nan, 0.0, "phase_axis"),
+    ("backward", 0.3, math.inf, "phase_perp"),
+])
+def test_phase_device_refuses_non_finite_retardance(direction, fast, slow, name):
+    with pytest.raises(ValueError, match=f"retarder {name} must be finite"):
+        I.phase_device(I.VERTICAL, direction, fast, slow)
+
+
+@pytest.mark.parametrize("h, v", [
+    (math.nan, 1.0), (0.0, complex(1.0, math.inf)), (complex(math.nan, 0.0), 0.0),
+])
+def test_jones_vector_refuses_non_finite_components(h, v):
+    with pytest.raises(ValueError, match="Jones vector components must be finite"):
+        I.JonesVector(h, v)
+
+
 # ---------------------------------------------------------------------------
 # faraday isolator
 # ---------------------------------------------------------------------------

@@ -514,6 +514,32 @@ def test_compressor_rejects_higher_order():
         Q.compressor_apply(e, Q.COMPRESS_Y_QUARTER)
 
 
+def test_compressor_matches_an_independent_retarder():
+    # rot(a) diag(e^{i delta}, 1) rot(-a) on (c_10, c_01), built here
+    # rather than taken from CompressorSpec.matrix().
+    def rot(a):
+        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        a, delta = rng.uniform(-2 * math.pi, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
+        want = rot(a) @ np.diag([cmath.exp(1j * delta), 1.0]) @ rot(-a)
+        spec = Q.CompressorSpec(axis_angle=a, retardance=delta)
+        assert np.abs(spec.matrix() - want).max() < 1e-15
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c /= np.linalg.norm(c)
+        e = M.ModeExpansion({M.HGIndex(1, 0): c[0], M.HGIndex(0, 1): c[1]}, GEOM)
+        out = Q.compressor_apply(e, spec)
+        got = np.array([out.coeff(M.HGIndex(1, 0)), out.coeff(M.HGIndex(0, 1))])
+        assert np.abs(got - want @ c).max() < 1e-15
+
+
+@pytest.mark.parametrize("axis", [math.nan, math.inf, -math.inf])
+def test_compressor_refuses_non_finite_axis_when_built(axis):
+    with pytest.raises(ValueError, match="retarder axis_angle must be finite"):
+        Q.CompressorSpec(axis_angle=axis, retardance=1.0)
+
+
 def _stokes(vec):
     c1, c2 = vec
     return np.array(

@@ -316,12 +316,16 @@ def _parse_l_list(text: str) -> list[int]:
 
 
 def cmd_cascade(args) -> None:
+    if args.network is not None and args.depth is not None:
+        raise UsageError("give either --depth or --network, not both")
+    if args.input is not None and args.l is not None:
+        raise UsageError("give either --l or --input, not both")
     geom = _geometry(args)
     if args.network is not None:
         with open(args.network, "r", encoding="ascii") as fh:
             root = parse_network(fh.read())
     else:
-        root = cascade_build(args.depth)
+        root = cascade_build(2 if args.depth is None else args.depth)
     rows = ["input_label,leaf_label,power_fraction"]
     if args.input is not None:
         expansion = parse_mode_spec(args.input, geom)
@@ -330,7 +334,7 @@ def cmd_cascade(args) -> None:
         for leaf in leaves:
             rows.append(f"{label},{leaf.label},{formats.fmt_float(leaf.power)}")
     else:
-        for l in _parse_l_list(args.l):
+        for l in _parse_l_list("-3..3" if args.l is None else args.l):
             leaves = cascade_route(root, LGIndex(0, l))
             for leaf in leaves:
                 rows.append(f"l={l},{leaf.label},{formats.fmt_float(leaf.power)}")
@@ -508,14 +512,14 @@ def run_pipeline_script(script: str, name: str, overrides: dict) -> list[str]:
         final, label = state, lambda key: f"{key[0].n} {key[0].m} {key[1].n} {key[1].m}"
     else:
         return report
-    # A term carrying at most ROUNDOFF_POWER of the state's power is
-    # rounding residue of the exact transfer and is not listed.
+    # A term, or a real or imaginary part, carrying at most ROUNDOFF_POWER
+    # of the state's power is rounding residue of the exact transfer: such a
+    # term is not listed and such a part prints as 0.
     floor = ROUNDOFF_POWER * final.norm_sq()
     for key, amp in sorted(final.terms.items()):
         if abs(amp) ** 2 > floor:
-            report.append(
-                f"  {label(key)} {formats.fmt_float(amp.real)} {formats.fmt_float(amp.imag)}"
-            )
+            parts = (formats.fmt_float(x if x * x > floor else 0.0) for x in (amp.real, amp.imag))
+            report.append(f"  {label(key)} {' '.join(parts)}")
     return report
 
 
@@ -646,9 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_theta)
 
     p = sub.add_parser("cascade", help="route OAM values through a sorting tree", parents=[common])
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--network", default=None, help="network description file")
-    p.add_argument("--l", default="-3..3", help="comma list or a..b range")
+    p.add_argument("--l", default=None, help="comma list or a..b range")
     p.add_argument("--input", default=None, help="expansion file to route")
     p.add_argument("--output", default="cascade.csv")
     p.set_defaults(func=cmd_cascade)

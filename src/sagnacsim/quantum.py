@@ -6,16 +6,15 @@ are conditional on a pair being present.  The spatial part of a biphoton
 is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
 ``(o1 + 1, o2 + 1)`` and entry ``[n1, n2]`` multiplies HG_{n1, o1-n1} x
 HG_{n2, o2-n2}; only blocks holding a nonzero term are kept, by the
-block core that :class:`~sagnacsim.modes.ModeExpansion` shares.  Sorting
-computes P1 C P2^T for every block with one product per photon order:
-the blocks of each photon-1 order side by side take P1 at once, and the
-results for each photon-2 order, stacked, take P2^T at once for all four
-branches; each branch block is a read-only view of those outputs.
-Heralding reads one row of each block as a view, the compressor is the
-per-block product with its order-one unitary, and the Schmidt spectrum
-is an SVD over the rows and columns that carry support, at any order.
-The two-photon polarization is carried alongside as amplitudes over
-{HV, VH, HH, VV}.
+block core that :class:`~sagnacsim.modes.ModeExpansion` shares.  Both
+Sagnac ports are diagonal over LG modes, so sorting takes each block C to
+its LG amplitudes V1^H C V2* with one product per photon order and reads
+the four branch powers off them; a branch's HG blocks are built only
+when its state is read, and heralding builds only the trigger's row of
+its branch.  The compressor is the per-block product with its order-one
+unitary, and the Schmidt spectrum is an SVD over the rows and columns
+that carry support, at any order.  The two-photon polarization is
+carried alongside as amplitudes over {HV, VH, HH, VV}.
 
 Biphoton sorting works in each output beam's own transverse frame: the
 deterministic 90 degree rotation every Sagnac output shares is dropped,
@@ -29,7 +28,8 @@ import cmath
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
 from typing import IO
@@ -45,7 +45,8 @@ from .modes import (
     ModeExpansion,
     _Blocks,
     _check_index,
-    rotation_matrix,
+    _lg_basis,
+    rotation_matrix,  # no caller; the benchmark's tracer wraps quantum.rotation_matrix
 )
 
 POLARIZATION_KEYS = ("HV", "VH", "HH", "VV")
@@ -64,6 +65,11 @@ DEFAULT_C2 = -0.03
 
 DEFAULT_GEOMETRY = BeamGeometry(1.0)
 
+# Most coefficients the blocks of one biphoton state may hold: 2**24 complex
+# entries are 268 MB, and a sort holds about as much again.  Block (o1, o2)
+# holds (o1 + 1)(o2 + 1) entries however few of its terms are nonzero.
+MAX_BIPHOTON_ENTRIES = 2**24
+
 
 class BiphotonExpansion(_Blocks):
     """Finite expansion over ordered HG x HG products plus polarization.
@@ -76,17 +82,25 @@ class BiphotonExpansion(_Blocks):
     _noun = "biphoton state"
 
     def __init__(self, terms, polarization=None, geometry: BeamGeometry = DEFAULT_GEOMETRY):
-        self.blocks = {}
+        # Every term is validated, and the blocks it occupies are counted
+        # against MAX_BIPHOTON_ENTRIES, before any block is allocated.
+        checked = []
         for (a, b), amp in dict(terms).items():
-            # Validated before anything is allocated for it: a block is at
-            # most (MAX_ORDER + 1) x (MAX_ORDER + 1).
             a, b, amp = _check_index(a), _check_index(b), complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude for {(a, b)}")
             if amp != 0:
-                if (a.order, b.order) not in self.blocks:
-                    self.blocks[a.order, b.order] = np.zeros((a.order + 1, b.order + 1), complex)
-                self.blocks[a.order, b.order][a.n, b.n] = amp
+                checked.append((a, b, amp))
+        entries = sum((o1 + 1) * (o2 + 1) for o1, o2 in {(a.order, b.order) for a, b, _ in checked})
+        if entries > MAX_BIPHOTON_ENTRIES:
+            raise ValueError(
+                f"biphoton blocks would hold {entries} entries, more than the limit of {MAX_BIPHOTON_ENTRIES}"
+            )
+        self.blocks = {}
+        for a, b, amp in checked:
+            if (a.order, b.order) not in self.blocks:
+                self.blocks[a.order, b.order] = np.zeros((a.order + 1, b.order + 1), complex)
+            self.blocks[a.order, b.order][a.n, b.n] = amp
         self._freeze()
         pol = dict(polarization) if polarization is not None else bell_polarization()
         for k in pol:
@@ -318,27 +332,34 @@ def fiber_filter_biphoton(b: BiphotonExpansion) -> tuple[BiphotonExpansion, floa
 # Biphoton sorting and heralding
 # ---------------------------------------------------------------------------
 
-def _frame_port_maps(stage: SagnacStage, orders) -> dict[int, np.ndarray]:
-    """Single-photon port operators in the output-beam frame, per total order.
-
-    Factoring the common R(Omega) out of both ports leaves
-    A = (1 + e^{i phi} R(-2 Omega))/2 and B = (1 - e^{i phi} R(-2 Omega))/2,
-    evaluated with the exact rotation matrices.  Each value stacks (A, B)
-    along its first axis.
-    """
-    phase = cmath.exp(1j * stage.phi)
-    maps = {}
-    for order in orders:
-        back = phase * rotation_matrix(order, -2.0 * stage.omega)
-        eye = np.eye(order + 1)
-        maps[order] = np.stack((0.5 * (eye + back), 0.5 * (eye - back)))
-    return maps
-
-
 @dataclass
 class SortedBranch:
+    """One port pair of a sorted biphoton and its share of the input power.
+
+    ``state`` is the branch's normalized HG state, built from the sort's LG
+    amplitudes when first read and kept; it is None when the probability
+    is zero.
+    """
+
     probability: float
-    state: BiphotonExpansion | None
+    _power: float = field(repr=False, compare=False)  # unnormalized branch power
+    _source: BiphotonExpansion = field(repr=False, compare=False)
+    _amps: dict = field(repr=False, compare=False)  # (o1, o2) -> W = V1^H C V2*
+    _rows: dict = field(repr=False, compare=False)  # order -> (f_A, f_B)
+    _ports: tuple[int, int] = field(repr=False, compare=False)  # rows for photons 1, 2
+
+    @cached_property
+    def state(self) -> BiphotonExpansion | None:
+        if self._power == 0.0:
+            return None
+        # Block (o1, o2) is V1 (f_i W f_j) V2^T / sqrt(power), with both
+        # ends formed once per order.
+        (i, j), scale = self._ports, 1.0 / math.sqrt(self._power)
+        left = {o: _lg_basis(o) * (f[i] * scale) for o, f in self._rows.items()}
+        right = {o: f[j, :, None] * _lg_basis(o).T for o, f in self._rows.items()}
+        return self._source._with_blocks(
+            {(o1, o2): left[o1] @ w @ right[o2] for (o1, o2), w in self._amps.items()}
+        )
 
 
 @dataclass
@@ -374,67 +395,53 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
     the common output rotation would multiply both photons identically and
     is omitted.
 
-    The port maps act once per photon order: the blocks of each photon-1
-    order, side by side, take (P_A, P_B) in one product, and for each
-    photon-2 order the matching column slices of those products, stacked
-    as rows, take (P_A, P_B)^T in one product holding all four branches.
-    Branch powers, normalization and the nonzero test of every block are
-    computed once per such output, which is then made read-only; each
-    branch block is a row slice of it.  Only occupied blocks are joined,
-    so memory follows the support.
+    Both ports are diagonal over LG modes, so each block C is taken once to
+    its LG amplitudes W = V1^H C V2*: the blocks of each photon-1 order,
+    side by side, take V1^H in one product, and for each photon-2 order the
+    matching column slices, stacked as rows, take V2* in one product.
+    Branch (i, j) then has power sum |f_i(l1)|^2 |W|^2 |f_j(l2)|^2,
+    accumulated once per photon-2 order, and builds no state until its
+    ``state`` is read.  Only occupied blocks are joined, so memory follows
+    the support.
     """
     total = b.norm_sq()
     if total == 0.0:
         raise ValueError("zero biphoton state")
-    maps = _frame_port_maps(stage, sorted({order for key in b.blocks for order in key}))
+    # rows[o] = (f_A, f_B) = (1 +- e^{i phi} e^{2 i l Omega})/2: the ports
+    # (1 +- e^{i phi} R(-2 Omega))/2 of the output-beam frame over the LG
+    # modes of order o, column k matching column k of _lg_basis(o), l = o - 2k.
+    phase = cmath.exp(1j * stage.phi)
+    rows = {}
+    for o in {order for key in b.blocks for order in key}:
+        back = phase * np.exp(2j * stage.omega * np.arange(o, -o - 1, -2))
+        rows[o] = 0.5 * np.stack((1.0 + back, 1.0 - back))
     by_o1: dict[int, list[int]] = {}
     by_o2: dict[int, list[int]] = {}
     for o1, o2 in b.blocks:
         by_o1.setdefault(o1, []).append(o2)
         by_o2.setdefault(o2, []).append(o1)
-    # left[o1, o2][i] = P_i C for the block (o1, o2), a column slice of
-    # one (2, o1 + 1, sum of o2 + 1) product per photon-1 order.
+    # left[o1, o2] = V1^H C for the block (o1, o2), a column slice of one
+    # product per photon-1 order.
     left = {}
     for o1, o2s in by_o1.items():
-        product = maps[o1] @ _joined([b.blocks[o1, o2] for o2 in o2s], axis=1)
+        product = _lg_basis(o1).conj().T @ _joined([b.blocks[o1, o2] for o2 in o2s], axis=1)
         edges = _edges(o2s)
         for o2, start, stop in zip(o2s, edges, edges[1:]):
-            left[o1, o2] = product[:, :, start:stop]
-    # outputs[o2][i, j] = P_i C P_j^T for the blocks (o1, o2), stacked as
-    # rows in block order.
-    outputs = {}
+            left[o1, o2] = product[:, start:stop]
+    amps = dict.fromkeys(b.blocks)  # (o1, o2) -> W, in block order
     power = np.zeros((2, 2))
     for o2, o1s in by_o2.items():
-        stacked = _joined([left[o1, o2] for o1 in o1s], axis=1)
-        out = stacked[:, None] @ maps[o2].transpose(0, 2, 1)[None]
-        flat = out.view(float)
-        power += np.einsum("ijrc,ijrc->ij", flat, flat)
-        outputs[o2] = out
-    scale = np.zeros((2, 2))
-    np.divide(1.0, np.sqrt(power), out=scale, where=power > 0)
-    nonzero = {}  # o2 -> per-branch flags, one per block of the output
-    rows = dict.fromkeys(b.blocks)  # (o1, o2) -> (flag index, row slice), in block order
-    for o2, o1s in by_o2.items():
-        out = outputs[o2]
-        out *= scale[:, :, None, None]
+        w = _joined([left[o1, o2] for o1 in o1s], axis=0) @ _lg_basis(o2).conj()
+        gain1 = np.abs(_joined([rows[o1] for o1 in o1s], axis=1)) ** 2
+        power += gain1 @ (w.real**2 + w.imag**2) @ (np.abs(rows[o2]) ** 2).T
         edges = _edges(o1s)
-        nonzero[o2] = np.logical_or.reduceat(np.any(out, axis=3), edges[:-1], axis=2).tolist()
-        out.setflags(write=False)
-        for k, (o1, start, stop) in enumerate(zip(o1s, edges, edges[1:])):
-            rows[o1, o2] = (k, slice(start, stop))
-    branches = {}
-    for i, p1 in enumerate("AB"):
-        for j, p2 in enumerate("AB"):
-            state = None
-            if power[i, j] > 0:
-                plane = {o2: out[i, j] for o2, out in outputs.items()}
-                kept = {o2: flags[i][j] for o2, flags in nonzero.items()}
-                state = b._adopt({
-                    (o1, o2): plane[o2][span]
-                    for (o1, o2), (k, span) in rows.items() if kept[o2][k]
-                })
-            branches[p1 + p2] = SortedBranch(float(power[i, j]) / total, state)
-    return BiphotonSortResult(branches)
+        for o1, start, stop in zip(o1s, edges, edges[1:]):
+            amps[o1, o2] = w[start:stop]
+    return BiphotonSortResult({
+        p1 + p2: SortedBranch(float(power[i, j]) / total, float(power[i, j]), b, amps, rows, (i, j))
+        for i, p1 in enumerate("AB")
+        for j, p2 in enumerate("AB")
+    })
 
 
 @dataclass(frozen=True)
@@ -508,19 +515,22 @@ def herald(
         raise ValueError("trigger port must be 'A' or 'B'")
     other = "B" if trigger_port == "A" else "A"
     branch = sort_result.branches[trigger_port + other]
-    if branch.probability <= 0.0 or branch.state is None:
+    if branch.probability <= 0.0:
         raise ValueError("zero-probability trigger")
     trig = _check_index(trigger_mode)
-    state = ModeExpansion({}, branch.state.geometry)._with_blocks({
-        o2: block[trig.n] for (o1, o2), block in branch.state.blocks.items() if o1 == trig.order
+    # Row trig.n of each block of the trigger's order, as in SortedBranch.state.
+    (i, j), rows, source = branch._ports, branch._rows, branch._source
+    state = ModeExpansion({}, source.geometry)._with_blocks({
+        o2: (_lg_basis(o1)[trig.n] * rows[o1][i]) @ w * rows[o2][j] @ _lg_basis(o2).T
+        for (o1, o2), w in branch._amps.items() if o1 == trig.order
     })
     power = state.norm_sq()
     if power == 0.0:
         raise ValueError("zero-probability trigger")
     return HeraldResult(
         spatial=state.scaled(1.0 / math.sqrt(power)),
-        polarization=dict(branch.state.polarization),
-        probability=branch.probability * power,
+        polarization=dict(source.polarization),
+        probability=branch.probability * power / branch._power,
     )
 
 

@@ -9,6 +9,7 @@ from sagnacsim import cli
 from sagnacsim import formats as F
 from sagnacsim.cli import main
 from test_formats import reference_csv
+from test_quantum import one_term_per_block_table
 
 
 def read(path):
@@ -512,6 +513,21 @@ def test_cascade_bad_l_list_exits_2(tmp_path, capsys):
         assert f"usage error: bad l list entry '{chunk}'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--network", "NET", "--depth", "4", "--l=0..1"), "give either --depth or --network, not both"),
+    (("--input", "hg45", "--l=0..1"), "give either --l or --input, not both"),
+])
+def test_cascade_refuses_conflicting_options(tmp_path, capsys, argv, message):
+    net = tmp_path / "net.txt"
+    net.write_text("tree 2\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [str(net) if arg == "NET" else arg for arg in argv]
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "cascade", *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+    assert os.listdir(out_dir) == []
+
+
 def test_cascade_network_rejects_non_finite_numbered(tmp_path, capsys):
     net = tmp_path / "net.txt"
     for value in ("nan", "inf"):
@@ -581,6 +597,38 @@ def test_pipeline_reports_skip_roundoff_terms(tmp_path, capsys):
     assert code == 0
     final = out.split("final heralded state:\n")[1].splitlines()
     assert [line.split()[:2] for line in final] == [["0", "1"], ["1", "0"]]
+
+
+def test_pipeline_reports_print_roundoff_parts_as_zero(tmp_path, capsys):
+    # Beside 0.7 a part of 1e-15 carries 2e-30 of the power, under the floor,
+    # and a part of 1e-9 carries 2e-18, over it.
+    table = tmp_path / "t.bip"
+    table.write_text("biphoton v1\n0 0 0 0 0.7 1e-15\n1 0 1 0 1e-15 0.7\n0 1 0 1 0.7 1e-9\n")
+    script = tmp_path / "p.pipe"
+    script.write_text(f"source table {table}\n")
+    code, out, _ = run(capsys, "--out-dir", str(tmp_path), "pipeline", str(script))
+    assert code == 0
+    assert out.split("final state:\n")[1].splitlines() == [
+        "  0 0 0 0 0.69999999999999996 0",
+        "  0 1 0 1 0.69999999999999996 1.0000000000000001e-09",
+        "  1 0 1 0 0 0.69999999999999996",
+    ]
+
+
+def test_pipeline_table_past_the_block_budget_exits_3(tmp_path, capsys):
+    # One term per block to order 100 would need 26.5 M block entries.
+    table = tmp_path / "big.bip"
+    table.write_text(one_term_per_block_table(100))
+    script = tmp_path / "p.pipe"
+    script.write_text(f"# big\nsource table {table}\nfilter\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--out-dir", str(out_dir), "pipeline", str(script))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: line 2: {table}: biphoton blocks would hold 26532801 entries,"
+        f" more than the limit of {2**24}\n"
+    )
+    assert os.listdir(out_dir) == []
 
 
 def test_pipeline_herald(tmp_path, capsys):

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,16 +17,44 @@ GEOM = Q.DEFAULT_GEOMETRY
 
 # ---------------------------------------------------------------------------
 # per-term reference: every term pushed through the single-photon maps one
-# by one and accumulated in dicts, independent of the block layout
+# by one and accumulated in dicts, independent of the block layout; the maps
+# come from the closed-form binomial rotation sum at 30 digits, so they share
+# no roundoff with either route of the program
 # ---------------------------------------------------------------------------
 
-def _ref_port_maps(stage, max_order):
-    phase = cmath.exp(1j * stage.phi)
+def _ref_rotation(order, angle):
+    """Rotation of the order block, (a_x^+, a_y^+) -> (c a_x^+ + s a_y^+,
+    -s a_x^+ + c a_y^+), expanded binomially (Wigner's small d), as mpmath
+    numbers: entry [k][n] takes HG_{n, order-n} to HG_{k, order-k}."""
+    c, s = mpmath.cos(angle), mpmath.sin(angle)
+    mat = [[mpmath.mpf(0)] * (order + 1) for _ in range(order + 1)]
+    for n in range(order + 1):
+        m = order - n
+        for p in range(n + 1):
+            for q in range(m + 1):
+                term = math.comb(n, p) * math.comb(m, q) * c ** (p + m - q) * s ** (n - p + q)
+                mat[p + q][n] += -term if q % 2 else term
+    for k in range(order + 1):
+        for n in range(order + 1):
+            ratio = mpmath.mpf(math.factorial(k) * math.factorial(order - k))
+            mat[k][n] *= mpmath.sqrt(ratio / (math.factorial(n) * math.factorial(order - n)))
+    return mat
+
+
+def _ref_port_maps(stage, orders):
+    """(1 +- e^{i phi} R(-2 Omega))/2 of each order, evaluated at 30 digits."""
     maps = {}
-    for order in range(max_order + 1):
-        back = M.rotation_matrix(order, -2.0 * stage.omega).astype(complex)
-        eye = np.eye(order + 1, dtype=complex)
-        maps[order] = {"A": 0.5 * (eye + phase * back), "B": 0.5 * (eye - phase * back)}
+    with mpmath.workdps(30):
+        phase = mpmath.expj(mpmath.mpf(stage.phi))
+        for order in orders:
+            back = _ref_rotation(order, -2 * mpmath.mpf(stage.omega))
+            maps[order] = {
+                port: np.array([
+                    [complex(((k == n) + sign * phase * back[k][n]) / 2) for n in range(order + 1)]
+                    for k in range(order + 1)
+                ])
+                for port, sign in (("A", 1), ("B", -1))
+            }
     return maps
 
 
@@ -37,7 +66,7 @@ def _ref_apply(mat, idx):
 def reference_sort(terms, stage):
     """Unnormalized branch amplitudes {"AA": {(a, b): amp}, ...}."""
     terms = {(M.HGIndex(*a), M.HGIndex(*b)): complex(c) for (a, b), c in terms.items()}
-    maps = _ref_port_maps(stage, max(max(a.order, b.order) for a, b in terms))
+    maps = _ref_port_maps(stage, {idx.order for key in terms for idx in key})
     branches = {}
     for p1 in "AB":
         for p2 in "AB":
@@ -48,6 +77,15 @@ def reference_sort(terms, stage):
                         acc[ja, jb] = acc.get((ja, jb), 0j) + amp * ca * cb
             branches[p1 + p2] = acc
     return branches
+
+
+def test_reference_rotation_matches_rotation_matrix():
+    rng = np.random.default_rng(7)
+    with mpmath.workdps(30):
+        for order in range(13):
+            for angle in (0.0, math.pi / 4, *rng.uniform(-2 * math.pi, 2 * math.pi, size=3)):
+                want = np.array(_ref_rotation(order, mpmath.mpf(angle)), dtype=float)
+                assert np.abs(M.rotation_matrix(order, angle) - want).max() < 1e-13
 
 
 def _ref_compress_index(idx, mat):
@@ -73,27 +111,36 @@ def _max_diff(got, want):
 
 
 def assert_sort_matches_reference(b, stage, trigger_modes=()):
-    """Block sort and herald against the per-term reference to 1e-12."""
+    """Block sort and herald against the per-term reference.
+
+    Branch amplitudes, sqrt(P total) times the state, and herald rows are
+    compared unnormalized to 1e-12 sqrt(total): on a normalized state that
+    is 1e-12 / sqrt(P), the conditioning of normalization.
+    """
     result = Q.sort_biphoton(b, stage)
     ref = reference_sort(b.terms, stage)
     total = sum(abs(c) ** 2 for c in b.terms.values())
+    bound = 1e-12 * math.sqrt(total)
     for name, acc in ref.items():
         power = sum(abs(c) ** 2 for c in acc.values())
-        assert result.probability(name) == pytest.approx(power / total, abs=1e-12)
-        if power / total > 1e-20:
-            want = {k: c / math.sqrt(power) for k, c in acc.items()}
-            assert _max_diff(result.state(name).terms, want) < 1e-12
+        prob = result.probability(name)
+        assert prob == pytest.approx(power / total, abs=1e-12)
+        state = result.branches[name].state
+        got = {} if state is None else {k: c * math.sqrt(prob * total) for k, c in state.terms.items()}
+        assert _max_diff(got, acc) < bound
     for port, other in (("A", "B"), ("B", "A")):
         acc = ref[port + other]
         for trig in trigger_modes:
             partner = {ib: c for (ia, ib), c in acc.items() if ia == trig}
-            power = sum(abs(c) ** 2 for c in partner.values())
-            if power / total < 1e-20:
-                continue
-            h = Q.herald(result, port, trig)
-            assert h.probability == pytest.approx(power / total, abs=1e-12)
-            want = {k: c / math.sqrt(power) for k, c in partner.items()}
-            assert _max_diff(h.spatial.terms, want) < 1e-12
+            try:
+                h = Q.herald(result, port, trig)
+            except ValueError:  # nothing behind this trigger
+                got = {}
+            else:
+                power = sum(abs(c) ** 2 for c in partner.values())
+                assert h.probability == pytest.approx(power / total, abs=1e-12)
+                got = {k: c * math.sqrt(h.probability * total) for k, c in h.spatial.terms.items()}
+            assert _max_diff(got, partner) < bound
 
 
 def hg45():
@@ -182,6 +229,32 @@ def test_biphoton_rejects_bad_index_before_allocating():
         Q.BiphotonExpansion({((0, 0), (2, -1)): 1})
     with pytest.raises(ValueError, match="order too large"):
         Q.BiphotonExpansion({((0, 0), (10**12, 0)): 1})
+
+
+def one_term_per_block_table(top):
+    """A biphoton table with the one term (HG_o1,0, HG_0,o2) in every block up to order ``top``."""
+    return "biphoton v1\n" + "".join(f"{o1} 0 0 {o2} 1 0\n" for o1 in range(top + 1) for o2 in range(top + 1))
+
+
+def test_biphoton_block_budget_refuses_before_allocating():
+    # To order 100 the blocks would hold 5151**2 = 26.5 M entries (424 MB).
+    text = one_term_per_block_table(100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"26532801 entries, more than the limit of {2**24}"):
+            Q.load_biphoton_table(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_biphoton_block_budget_admits_the_sparse_order_80_table():
+    # 3321**2 = 11.0 M entries (176 MB of blocks), inside the budget.
+    b = Q.load_biphoton_table(one_term_per_block_table(80))
+    assert sum(block.size for block in b.blocks.values()) == 3321**2
+    result = Q.sort_biphoton(b, SagnacStage(0.6, 0.4))
+    assert sum(branch.probability for branch in result.branches.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_biphoton_rejects_non_integer_index_and_overflow():
@@ -469,6 +542,34 @@ def test_sort_memory_follows_the_support():
         tracemalloc.stop()
     assert all(branch.state is not None for branch in result.branches.values())
     assert peak < 16 * given
+
+
+def test_sort_and_herald_build_no_branch_state_until_read():
+    b = Q.BiphotonExpansion(_random_state(np.random.default_rng(37), 4, 30))
+    result = Q.sort_biphoton(b, SagnacStage(0.9, 0.2))
+    Q.herald(result, "A", M.HGIndex(0, 0))
+    Q.herald(result, "B", M.HGIndex(1, 1))
+    assert all("state" not in vars(branch) for branch in result.branches.values())
+    for branch in result.branches.values():
+        first = branch.state
+        assert first is not None and branch.state is first
+
+
+def test_sort_and_herald_memory_stays_near_the_block_bytes():
+    # One term per block to order 40: 11.9 MB of blocks.  The sort holds the
+    # blocks' LG amplitudes and one product per photon order; no branch state.
+    b = Q.BiphotonExpansion({((o1, 0), (0, o2)): 1.0 + o1 - 0.5j * o2 for o1 in range(41) for o2 in range(41)})
+    given = sum(block.nbytes for block in b.blocks.values())
+    stage = SagnacStage(0.6, 0.4)
+    Q.herald(Q.sort_biphoton(b, stage), "A", M.HGIndex(3, 4))  # caches the LG bases untraced
+    tracemalloc.start()
+    try:
+        heralded = Q.herald(Q.sort_biphoton(b, stage), "A", M.HGIndex(3, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert heralded.spatial.max_order() == 40
+    assert peak < 3 * given
 
 
 def test_sort_preserves_exchange_symmetry():

@@ -30,7 +30,6 @@ from .modes import (
     parity_1d,
     parity_2d,
     rotate_exact,
-    rotate_expansion,
     sample_lg,
     sample_mode,
 )

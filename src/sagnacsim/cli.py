@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: mode, sort, interfere, sweep-theta, cascade, pipeline.
-All artifacts are byte-deterministic for identical invocations: fixed
-float formatting, no timestamps, version and arguments recorded in a
-sidecar ``metadata.txt``.  Exit codes: 0 success, 2 usage, 3 numeric/model error.
+All artifacts are byte-deterministic for identical invocations on the same
+machine and numpy/BLAS build (ROADMAP item 7): fixed float formatting, no
+timestamps, version and arguments recorded in a sidecar ``metadata.txt``.
+Exit codes: 0 success, 2 usage, 3 numeric/model error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import __version__
 from . import formats
 from .geometry import sweep_theta
 from .interferometer import (
+    MAX_CASCADE_DEPTH,
     SagnacStage,
     cascade_build,
     cascade_route,
@@ -320,6 +322,8 @@ def cmd_cascade(args) -> None:
         raise UsageError("give either --depth or --network, not both")
     if args.input is not None and args.l is not None:
         raise UsageError("give either --l or --input, not both")
+    if args.depth is not None and not 1 <= args.depth <= MAX_CASCADE_DEPTH:
+        raise UsageError(f"cascade depth must lie between 1 and {MAX_CASCADE_DEPTH}")
     geom = _geometry(args)
     if args.network is not None:
         with open(args.network, "r", encoding="ascii") as fh:

@@ -50,6 +50,9 @@ from .modes import (
     rotate_exact,  # no caller; the benchmark's tracer wraps interferometer.rotate_exact
 )
 
+# Deepest sorting tree cascade_build makes: 2**5 leaves.
+MAX_CASCADE_DEPTH = 5
+
 
 @dataclass(frozen=True)
 class SagnacStage:
@@ -172,8 +175,8 @@ def cascade_build(depth: int) -> CascadeNode:
     branch handling residue r applies the device phase phi = -r * psi_j so
     that its locally even class (l = r mod 2**j) exits port A.
     """
-    if not 1 <= depth <= 5:
-        raise ValueError("cascade depth must lie between 1 and 5")
+    if not 1 <= depth <= MAX_CASCADE_DEPTH:
+        raise ValueError(f"cascade depth must lie between 1 and {MAX_CASCADE_DEPTH}")
 
     def build(level: int, residue: int) -> CascadeNode:
         modulus = 2 ** (level - 1)

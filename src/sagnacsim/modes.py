@@ -74,21 +74,13 @@ class LGIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Waist radius and wavelength of the underlying Gaussian beam.
-
-    The wavelength never enters waist-plane field values; it is carried so
-    that downstream fiber calculations can relate the beam to a guided-mode
-    scale.
-    """
+    """Waist radius of the underlying Gaussian beam."""
 
     w0: float
-    wavelength: float = 633e-9
 
     def __post_init__(self):
         if not 0 < self.w0 < math.inf:
             raise ValueError("waist radius w0 must be positive and finite")
-        if not 0 < self.wavelength < math.inf:
-            raise ValueError("wavelength must be positive and finite")
 
 
 def _check_index(idx) -> HGIndex:
@@ -383,7 +375,11 @@ def lg_to_hg(idx: LGIndex, geom: BeamGeometry) -> ModeExpansion:
     order = idx.order
     if order > MAX_ORDER:
         raise ValueError(f"order too large: {order} exceeds {MAX_ORDER}")
-    column = rotation_matrix(order, -math.pi / 4)[:, (order + idx.l) // 2]
+    # Column (order + l)/2 of the rotation by -pi/4, V diag(exp(i l pi/4)) V^dagger,
+    # in O(order^2); the phases of V's columns cancel.
+    basis = _lg_basis(order)
+    l = np.arange(order, -order - 1, -2)
+    column = ((basis * np.exp(1j * l * math.pi / 4)) @ basis[(order + idx.l) // 2].conj()).real
     amps = column * _I_POWERS[(np.arange(order + 1) - abs(idx.l)) % 4]
     return ModeExpansion({}, geom)._with_blocks({order: amps})
 
@@ -467,7 +463,10 @@ def _lg_basis(order: int) -> np.ndarray:
 
 
 def rotation_matrix(order: int, angle: float) -> np.ndarray:
-    """Rotation of the HG basis restricted to one total order.
+    """Rotation of the HG basis restricted to one total order, as a dense matrix.
+
+    The reference the tests hold :func:`rotate_exact` and :func:`lg_to_hg`
+    to; no library route builds it.
 
     Basis ordering is n = 0..order (so column n acts on HG_{n, order-n}).
     Built as V diag(exp(-i l angle)) V^dagger from the cached per-order LG
@@ -512,10 +511,22 @@ def _from_oam(orders, w: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def rotate_exact(expansion: ModeExpansion, angle: float) -> ModeExpansion:
-    """Rotate an expansion by multiplying its LG amplitudes by exp(-i l angle).
+    """Rotate the transverse profile anticlockwise by the given angle.
 
-    Unitary to machine precision at every order up to MAX_ORDER.
+    The LG amplitudes are multiplied by exp(-i l angle), which is unitary to
+    machine precision at every order up to MAX_ORDER.  Where angle % 2pi is
+    exactly 0 the blocks come back unchanged, and where it is exactly pi each
+    coefficient takes the exact parity factor (-1)^(n+m).
     """
+    if not math.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    reduced = angle % (2.0 * math.pi)
+    if reduced == 0.0:
+        return expansion._with_blocks(expansion.blocks)
+    if reduced == math.pi:
+        return expansion._with_blocks(
+            {o: -block if o % 2 else block for o, block in expansion.blocks.items()}
+        )
     w, l = _to_oam(expansion.blocks)
     return expansion._with_blocks(_from_oam(expansion.blocks, w * np.exp(-1j * l * angle)))
 
@@ -586,21 +597,3 @@ def rotate_grid(
     out = out.scaled(math.sqrt(norm_in / out.norm_sq()))
     return out, captured
 
-
-def rotate_expansion(expansion: ModeExpansion, angle: float) -> ModeExpansion:
-    """Rotate the transverse profile anticlockwise by the given angle.
-
-    Multiples of pi use the exact coefficientwise parity factor
-    (-1)^(n+m) per half turn; every other angle goes through
-    :func:`rotate_exact`.
-    """
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    reduced = angle % (2.0 * math.pi)
-    if min(reduced, 2.0 * math.pi - reduced) < 1e-12:
-        return expansion._with_blocks(expansion.blocks)
-    if abs(reduced - math.pi) < 1e-12:
-        return expansion._with_blocks(
-            {o: -block if o % 2 else block for o, block in expansion.blocks.items()}
-        )
-    return rotate_exact(expansion, angle)

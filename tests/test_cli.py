@@ -528,6 +528,13 @@ def test_cascade_refuses_conflicting_options(tmp_path, capsys, argv, message):
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("argv", [("--depth", "9"), ("--depth", "0", "--l=1"), ("--depth=-1",)])
+def test_cascade_depth_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "cascade", *argv)
+    assert (code, out, err) == (2, "", "usage error: cascade depth must lie between 1 and 5\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cascade_network_rejects_non_finite_numbered(tmp_path, capsys):
     net = tmp_path / "net.txt"
     for value in ("nan", "inf"):

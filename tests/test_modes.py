@@ -110,6 +110,16 @@ def test_lg_to_hg_rejects_out_of_range():
         M.lg_to_hg(M.LGIndex(85, -1), GEOM)
 
 
+def test_lg_to_hg_is_a_column_of_the_dense_rotation_to_max_order():
+    for order in range(M.MAX_ORDER + 1):
+        dense = M.rotation_matrix(order, -math.pi / 4)
+        for l in range(-order, order + 1, 2):
+            phases = M._I_POWERS[(np.arange(order + 1) - abs(l)) % 4]
+            want = dense[:, (order + l) // 2] * phases
+            got = M.lg_to_hg(M.LGIndex((order - abs(l)) // 2, l), GEOM).blocks[order]
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def lg_polar_field(p, l, x, y):
     """LG_p^l at the waist (w0 = 1) from its polar closed form, with the
     generalized Laguerre polynomial L_p^|l|(t) summed term by term."""
@@ -260,20 +270,41 @@ def test_parity_1d(idx, want):
 # ---------------------------------------------------------------------------
 
 def test_rotate_hg10_half_turn():
-    out = M.rotate_expansion(single(1, 0), math.pi)
+    out = M.rotate_exact(single(1, 0), math.pi)
     assert out.coeff((1, 0)) == pytest.approx(-1.0, abs=1e-15)
     assert abs(out.coeff((0, 1))) < 1e-15
 
 
 def test_rotate_hg10_quarter_turn():
-    out = M.rotate_expansion(single(1, 0), math.pi / 2)
+    out = M.rotate_exact(single(1, 0), math.pi / 2)
     assert abs(single(0, 1).inner(out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotate_hg11_quarter_turn_self_similar():
     e = single(1, 1)
-    out = M.rotate_expansion(e, math.pi / 2)
+    out = M.rotate_exact(e, math.pi / 2)
     assert abs(e.inner(out)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rotate_exact_is_exact_only_at_whole_and_half_turns():
+    rng = np.random.default_rng(17)
+    terms = {(n, o - n): complex(*rng.normal(size=2)) for o in (5, 6, 170) for n in range(o + 1)}
+    e = M.ModeExpansion(terms, GEOM)
+    for angle in (0.0, 2 * math.pi):
+        out = M.rotate_exact(e, angle)
+        assert out.blocks.keys() == e.blocks.keys()
+        assert all(np.array_equal(out.blocks[o], e.blocks[o]) for o in e.blocks)
+    for angle in (math.pi, 3 * math.pi, -math.pi):
+        out = M.rotate_exact(e, angle)
+        assert all(np.array_equal(out.blocks[o], (-1) ** o * e.blocks[o]) for o in e.blocks)
+    # Near a half or whole turn the rotation is the true one, not a snapped parity flip.
+    for angle in (math.pi + 9e-13, math.pi - 9e-13, 9e-13):
+        out = M.rotate_exact(e, angle)
+        want = M.rotation_matrix(170, angle) @ e.blocks[170]
+        assert np.max(np.abs(out.blocks[170] - want)) <= 1e-12
+    for angle in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            M.rotate_exact(e, angle)
 
 
 def test_rotation_matrix_unitary():
@@ -342,7 +373,7 @@ def test_parity_consistency_closed_vs_grid():
     e = M.ModeExpansion(
         {M.HGIndex(3, 2): 0.6, M.HGIndex(2, 0): 0.8j}, GEOM
     )
-    closed = M.rotate_expansion(e, math.pi)
+    closed = M.rotate_exact(e, math.pi)
     for idx, c in e.terms.items():
         want = c * (1.0 if idx.order % 2 == 0 else -1.0)
         assert closed.coeff(idx) == want
@@ -352,8 +383,8 @@ def test_parity_consistency_closed_vs_grid():
 
 def test_rotation_composition_first_order_exact():
     e = M.ModeExpansion({M.HGIndex(1, 0): 0.6, M.HGIndex(0, 1): 0.8j}, GEOM)
-    lhs = M.rotate_expansion(M.rotate_expansion(e, 0.4), 0.9)
-    rhs = M.rotate_expansion(e, 1.3)
+    lhs = M.rotate_exact(M.rotate_exact(e, 0.4), 0.9)
+    rhs = M.rotate_exact(e, 1.3)
     assert coeff_distance(lhs, rhs) < 1e-14
 
 
@@ -485,8 +516,6 @@ def test_geometry_requires_finite_positive_values():
     for w0 in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="w0 must be positive and finite"):
             M.BeamGeometry(w0)
-    with pytest.raises(ValueError, match="wavelength must be positive and finite"):
-        M.BeamGeometry(1.0, math.inf)
 
 
 def test_norm_reported_not_renormalized():

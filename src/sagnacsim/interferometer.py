@@ -116,12 +116,16 @@ def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
     parity components (each rotated by 90 degrees).
     """
     w, l = _to_oam(expansion.blocks)
-    factor_a, factor_b = _port_factors(stage.omega, cmath.exp(1j * stage.phi), l)
-    return PortPair(
-        expansion._with_blocks(_from_oam(expansion.blocks, factor_a * w)),
-        expansion._with_blocks(_from_oam(expansion.blocks, factor_b * w)),
-        expansion.norm_sq(),
-    )
+    port_a, port_b = expansion._from_rows(_from_oam(expansion.blocks, _stage_factors(stage, l) * w))
+    return PortPair(port_a, port_b, expansion.norm_sq())
+
+
+def _stage_factors(stage: SagnacStage, l: np.ndarray) -> np.ndarray:
+    """Port A and B factors of one stage at each OAM in ``l``, as the two rows
+    of one array: :func:`_port_factors` of each distinct l in -N..N, gathered."""
+    top = int(l.max(initial=0))
+    table = np.array(_port_factors(stage.omega, cmath.exp(1j * stage.phi), np.arange(-top, top + 1)))
+    return table.take(l + top, axis=1)
 
 
 def port_powers(pair: PortPair) -> tuple[float, float]:
@@ -212,7 +216,7 @@ class LeafPower:
     def state(self) -> ModeExpansion | None:
         if self._source is None:
             return None
-        return self._source._with_blocks(_from_oam(self._source.blocks, self._row))
+        return self._source._from_rows(_from_oam(self._source.blocks, self._row[None]))[0]
 
 
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:

@@ -21,7 +21,10 @@ grid image is the separable product Hy^T C Hx of
 transverse rotation operators complete the toolkit.  Rotations, and the
 Sagnac stages built on them, are diagonal multiplies between
 :func:`_to_oam` and :func:`_from_oam`, which carry the blocks to the LG
-amplitudes of each order and back.
+amplitudes of each order and back.  The LG basis of an order is real up to
+the phases i^n, so both run as one real batched product per chunk of
+consecutive orders (:func:`_chunk_basis`) on the amplitudes viewed as float
+pairs.
 """
 
 from __future__ import annotations
@@ -141,12 +144,13 @@ class _Blocks:
     complex array holding a nonzero entry.  A subclass extends :meth:`_adopt`
     to carry its other fields and names itself in ``_noun`` for the errors."""
 
-    __slots__ = ("blocks", "geometry")
+    __slots__ = ("blocks", "geometry", "_norm_sq")
 
     def _freeze(self) -> None:
         """Make the blocks read-only; reject an overflowing norm, which makes every power nan."""
         for block in self.blocks.values():
             block.setflags(write=False)
+        self._norm_sq = None
         if not math.isfinite(self.norm_sq()):
             raise ValueError("state norm is not finite: amplitudes too large")
 
@@ -160,11 +164,14 @@ class _Blocks:
     def _adopt(self, blocks):
         """This state holding ``blocks`` as given: each already nonzero and read-only."""
         out = object.__new__(type(self))
-        out.blocks, out.geometry = blocks, self.geometry
+        out.blocks, out.geometry, out._norm_sq = blocks, self.geometry, None
         return out
 
     def norm_sq(self) -> float:
-        return float(sum(np.vdot(block, block).real for block in self.blocks.values()))
+        # Summed once: the blocks are read-only.
+        if self._norm_sq is None:
+            self._norm_sq = float(sum(np.vdot(block, block).real for block in self.blocks.values()))
+        return self._norm_sq
 
     def normalized(self):
         n = math.sqrt(self.norm_sq())
@@ -228,6 +235,23 @@ class ModeExpansion(_Blocks):
 
     def max_order(self) -> int:
         return max(self.blocks, default=0)
+
+    def _from_rows(self, rows: np.ndarray) -> list["ModeExpansion"]:
+        """One state over this expansion's orders per row of ``rows``, HG
+        coefficients laid out as :func:`_to_oam` lays out the blocks.  The
+        blocks are read-only views of ``rows``, kept where nonzero."""
+        rows.setflags(write=False)
+        if not self.blocks:
+            return [self._adopt({}) for _row in rows]
+        starts = _layout(tuple(self.blocks)).starts
+        nonzero = np.logical_or.reduceat(rows != 0, starts, axis=1).tolist()
+        return [
+            self._adopt({
+                o: row[s:s + o + 1]
+                for o, s, keep in zip(self.blocks, starts.tolist(), flags) if keep
+            })
+            for row, flags in zip(rows, nonzero)
+        ]
 
     def inner(self, other: "ModeExpansion") -> complex:
         """Hilbert-space inner product <self|other> (conjugate on self)."""
@@ -444,22 +468,103 @@ def oam_phase(idx: LGIndex, angle: float) -> complex:
 # Transverse rotation operators
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _lg_basis(order: int) -> np.ndarray:
-    """Unitary whose column k is an LG mode of this order with l = order - 2k.
+def _real_lg_basis(order: int) -> np.ndarray:
+    """Real orthogonal R with V = diag(i^n) R the LG basis of :func:`_lg_basis`.
 
     The rotation generator a_x+ a_y - a_y+ a_x is tridiagonal on the
     HG_{n, order-n} block; conjugated by diag(i^n) it becomes the real
     symmetric matrix with off-diagonals sqrt((n+1)(order-n)), whose
     eigenvalues are exactly -order, -order+2, ..., order = -l.  Column
-    phases are whatever LAPACK returns.  Read-only, as it is shared.
+    signs are whatever LAPACK's ``eigh`` returns.
     """
     n = np.arange(order)
     off = np.sqrt((n + 1.0) * (order - n))
-    _eigenvalues, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    basis = _I_POWERS[np.arange(order + 1) % 4, None] * vecs
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _lg_basis(order: int) -> np.ndarray:
+    """Unitary whose column k is an LG mode of this order with l = order - 2k.
+
+    It is diag(i^n) R with R from :func:`_real_lg_basis`; the biphoton sort
+    and :func:`lg_to_hg` use it as a dense complex matrix, while
+    :func:`_to_oam` and :func:`_from_oam` apply R from the chunks of
+    :func:`_chunk_basis` and the phases i^n apart.  Read-only, as it is
+    shared.
+    """
+    basis = _I_POWERS[np.arange(order + 1) % 4, None] * _real_lg_basis(order)
     basis.setflags(write=False)
     return basis
+
+
+# Consecutive orders whose real LG bases share one zero-padded stack.
+_CHUNK = 8
+
+
+@functools.lru_cache(maxsize=None)  # one key per chunk: MAX_ORDER // _CHUNK + 1 at most
+def _chunk_basis(chunk: int) -> np.ndarray:
+    """R of the orders chunk*_CHUNK onward (:func:`_real_lg_basis`), stacked.
+
+    Shape (K, P, P), with K orders and P the size of the largest; entry j
+    holds R of order o = chunk*_CHUNK + j in its top-left (o+1) x (o+1)
+    corner and zeros elsewhere.  About 14 MB for all chunks to MAX_ORDER.
+    Read-only, as it is shared.
+    """
+    orders = range(chunk * _CHUNK, min((chunk + 1) * _CHUNK, MAX_ORDER + 1))
+    size = orders[-1] + 1
+    stack = np.zeros((len(orders), size, size))
+    for j, o in enumerate(orders):
+        stack[j, :o + 1, :o + 1] = _real_lg_basis(o)
+    stack.setflags(write=False)
+    return stack
+
+
+class _Layout(NamedTuple):
+    """Where the amplitudes of a tuple of orders sit, in order of the tuple."""
+
+    l: np.ndarray  # OAM of each amplitude: o, o-2, ..., -o per order
+    starts: np.ndarray  # index of each order's first amplitude
+    phases: np.ndarray  # i^n of each amplitude, n its place in its block
+    slots: np.ndarray  # place of each amplitude in the padded chunk stacks
+    chunks: tuple  # (bases, places) per chunk present: see _layout
+    padded: int  # length of the padded chunk stacks
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(orders: tuple[int, ...]) -> _Layout:
+    """Layout of the amplitudes of ``orders``.
+
+    Of chunk c, only the entries [first, stop) of :func:`_chunk_basis` (c)
+    that hold the orders present are multiplied, each cut to size x size for
+    the largest of them, as one read-only view ``bases``; their amplitudes
+    fill the (stop - first) * size ``places`` of the padded stacks,
+    zero-padded.  Held for the most recent tuples only, as it costs a few
+    arrays the length of the amplitudes.
+    """
+    present: dict[int, list[int]] = {}
+    for o in orders:
+        present.setdefault(o // _CHUNK, []).append(o % _CHUNK)
+    chunks, place_of_order, offset = [], {}, 0
+    for chunk, js in sorted(present.items()):
+        first, stop = min(js), max(js) + 1
+        size = chunk * _CHUNK + stop
+        places = slice(offset, offset + (stop - first) * size)
+        chunks.append((_chunk_basis(chunk)[first:stop, :size, :size], places))
+        for j in js:
+            place_of_order[chunk * _CHUNK + j] = offset + (j - first) * size
+        offset = places.stop
+    n = [np.arange(o + 1) for o in orders]
+    layout = _Layout(
+        np.concatenate([np.zeros(0, int), *(o - 2 * k for o, k in zip(orders, n))]),
+        np.cumsum([0, *(o + 1 for o in orders)])[:-1],
+        np.concatenate([np.zeros(0, complex), *(_I_POWERS[k % 4] for k in n)]),
+        np.concatenate([np.zeros(0, int), *(place_of_order[o] + k for o, k in zip(orders, n))]),
+        tuple(chunks),
+        offset,
+    )
+    for array in layout[:4]:
+        array.setflags(write=False)
+    return layout
 
 
 def rotation_matrix(order: int, angle: float) -> np.ndarray:
@@ -484,30 +589,47 @@ def rotation_matrix(order: int, angle: float) -> np.ndarray:
     return ((basis * np.exp(-1j * l * angle)) @ basis.conj().T).real
 
 
+def _chunk_products(layout: _Layout, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """R x, or R^T x, for each order's amplitudes in each row of ``x``.
+
+    The rows are padded into the chunk stacks of ``layout``; viewed as float
+    pairs, each chunk is one real batched ``matmul`` with its real bases.
+    The result has the shape and layout of x.
+    """
+    rows = np.atleast_2d(x)
+    padded = np.zeros((len(rows), layout.padded), complex)
+    for row, amplitudes in zip(padded, rows):
+        row.put(layout.slots, amplitudes)
+    out = np.empty_like(padded)
+    for bases, places in layout.chunks:
+        shape = (len(rows), *bases.shape[:2], 2)
+        np.matmul(
+            bases.transpose(0, 2, 1) if transpose else bases,
+            padded[:, places].view(float).reshape(shape),
+            out=out[:, places].view(float).reshape(shape),
+        )
+    return out.take(layout.slots, axis=1).reshape(x.shape)
+
+
 def _to_oam(blocks) -> tuple[np.ndarray, np.ndarray]:
     """LG amplitudes of per-order blocks, with their l values.
 
-    Each block c of order o becomes w = V^dagger c over the LG modes of that
-    order (:func:`_lg_basis`); the amplitudes of all blocks are concatenated
-    in the blocks' key order.  Every rotation and Sagnac port is diagonal in
-    this basis.
+    Each block c of order o becomes w = V^dagger c = R^T (i^-n c) over the LG
+    modes of that order (:func:`_lg_basis`); the amplitudes of all blocks are
+    concatenated in the blocks' key order.  Every rotation and Sagnac port is
+    diagonal in this basis.
     """
-    w = [np.zeros(0, dtype=complex)]
-    l = [np.zeros(0, dtype=int)]
-    for o, block in blocks.items():
-        w.append(block @ _lg_basis(o).conj())
-        l.append(np.arange(o, -o - 1, -2))
-    return np.concatenate(w), np.concatenate(l)
+    layout = _layout(tuple(blocks))
+    c = np.concatenate([np.zeros(0, complex), *blocks.values()]) * layout.phases.conj()
+    return _chunk_products(layout, c, transpose=True), layout.l
 
 
-def _from_oam(orders, w: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-order blocks V w of amplitudes laid out by :func:`_to_oam` for ``orders``."""
-    blocks = {}
-    start = 0
-    for o in orders:
-        blocks[o] = _lg_basis(o) @ w[start:start + o + 1]
-        start += o + 1
-    return blocks
+def _from_oam(orders, w: np.ndarray) -> np.ndarray:
+    """HG coefficients V w = i^n (R w) of LG amplitudes laid out by
+    :func:`_to_oam` for ``orders``, for each row of ``w`` at once: the
+    result has the shape of w and the layout of the concatenated blocks."""
+    layout = _layout(tuple(orders))
+    return _chunk_products(layout, w, transpose=False) * layout.phases
 
 
 def rotate_exact(expansion: ModeExpansion, angle: float) -> ModeExpansion:
@@ -528,7 +650,7 @@ def rotate_exact(expansion: ModeExpansion, angle: float) -> ModeExpansion:
             {o: -block if o % 2 else block for o, block in expansion.blocks.items()}
         )
     w, l = _to_oam(expansion.blocks)
-    return expansion._with_blocks(_from_oam(expansion.blocks, w * np.exp(-1j * l * angle)))
+    return expansion._from_rows(_from_oam(expansion.blocks, (w * np.exp(-1j * l * angle))[None]))[0]
 
 
 def rotate_field_bilinear(field: GridField, angle: float) -> GridField:

@@ -101,6 +101,19 @@ def test_mode_model_error_exits_3(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 3.22 GiB for an array", ""])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, message):
+    def exhaust(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_sort", exhaust)
+    code, out, err = run(capsys, "--out-dir", str(tmp_path), "sort", "hg:1,1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mode_deterministic_bytes(tmp_path, capsys):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"

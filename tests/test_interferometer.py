@@ -337,6 +337,39 @@ def test_rotate_and_transfer_match_reference_on_random_states():
         assert dict(mz.port_b.terms) == {i: c for i, c in e.terms.items() if i.n % 2 == 1}
 
 
+@pytest.mark.parametrize("max_order", [60, 100, 170])
+def test_transfer_of_full_expansions_matches_dense_port_operators(max_order):
+    rng = np.random.default_rng(max_order)
+    e = random_expansion(rng, max_order)
+    stage = I.SagnacStage(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+    pair = I.sagnac_transfer(e, stage)
+    phase = cmath.exp(1j * stage.phi)
+    for o, block in e.blocks.items():
+        plus = M.rotation_matrix(o, stage.omega) @ block
+        minus = phase * (M.rotation_matrix(o, -stage.omega) @ block)
+        for port, want in ((pair.port_a, (plus + minus) / 2), (pair.port_b, (plus - minus) / 2)):
+            assert np.max(np.abs(port.blocks.get(o, 0j) - want)) <= 1e-13
+    assert abs(sum(I.port_powers(pair)) - 1.0) <= 1e-12
+
+
+def test_order_170_transfer_holds_bounded_caches():
+    I.sagnac_transfer(random_expansion(np.random.default_rng(2), M.MAX_ORDER), I.SagnacStage(0.7, 0.2))
+    chunks = math.ceil((M.MAX_ORDER + 1) / M._CHUNK)
+    held = sum(M._chunk_basis(k).nbytes for k in range(chunks))
+    assert M._chunk_basis.cache_info().currsize <= chunks
+    assert held < 20e6
+    assert M._layout.cache_info().maxsize is not None
+
+
+def test_stage_factors_are_the_direct_port_factors():
+    rng = np.random.default_rng(3)
+    l = np.concatenate([np.arange(o, -o - 1, -2) for o in (0, 3, M.MAX_ORDER, 41)])
+    for _ in range(200):
+        stage = I.SagnacStage(rng.uniform(0, math.pi), rng.uniform(-10, 10))
+        direct = I._port_factors(stage.omega, cmath.exp(1j * stage.phi), l)
+        assert np.array_equal(I._stage_factors(stage, l), np.array(direct))
+
+
 def test_cascade_matches_reference_through_depth_5():
     rng = np.random.default_rng(43)
     tree = I.cascade_build(5)

@@ -414,25 +414,56 @@ PROPERTY = settings(max_examples=40, deadline=None)
 @given(_unit_states)
 def test_oam_round_trip_returns_the_blocks(e):
     back = M._from_oam(e.blocks, M._to_oam(e.blocks)[0])
-    assert back.keys() == e.blocks.keys()
-    for o, block in e.blocks.items():
-        assert np.max(np.abs(back[o] - block)) <= 1e-12
+    assert np.max(np.abs(back - np.concatenate(list(e.blocks.values())))) <= 1e-12
 
 
 @PROPERTY
 @given(_unit_states, st.lists(_angles, min_size=1, max_size=5))
 def test_oam_round_trip_of_stacked_states(e, phases):
-    # The same state once per column, each time with another global phase.
+    # The same state once per row, each time with another global phase.
     w, _l = M._to_oam(e.blocks)
+    c = np.concatenate(list(e.blocks.values()))
     factors = np.exp(1j * np.array(phases))
-    stacked = M._from_oam(e.blocks, np.outer(w, factors))
-    for o, block in e.blocks.items():
-        assert stacked[o].shape == (o + 1, len(phases))
-        assert np.max(np.abs(stacked[o] - np.outer(block, factors))) <= 1e-12
+    stacked = M._from_oam(e.blocks, np.outer(factors, w))
+    assert stacked.shape == (len(phases), len(c))
+    assert np.max(np.abs(stacked - np.outer(factors, c))) <= 1e-12
     for k, factor in enumerate(factors):
-        alone = M._from_oam(e.blocks, factor * w)
-        for o in e.blocks:
-            assert np.max(np.abs(stacked[o][:, k] - alone[o])) <= 1e-12
+        assert np.max(np.abs(stacked[k] - M._from_oam(e.blocks, factor * w))) <= 1e-12
+
+
+# Sparse sets of orders that span several chunks of the stacked route and
+# always hold its two ends, in any key order.
+_order_sets = st.sets(st.integers(1, M.MAX_ORDER - 1), max_size=8).flatmap(
+    lambda orders: st.permutations([0, *orders, M.MAX_ORDER])
+)
+
+
+@PROPERTY
+@given(_order_sets, st.integers(0, 2**32 - 1))
+def test_chunked_oam_route_matches_the_per_order_bases(orders, seed):
+    rng = np.random.default_rng(seed)
+    blocks = {o: rng.normal(size=o + 1) + 1j * rng.normal(size=o + 1) for o in orders}
+    scale = 1.0 / math.sqrt(sum(np.vdot(b, b).real for b in blocks.values()))
+    blocks = {o: b * scale for o, b in blocks.items()}
+    w, l = M._to_oam(blocks)
+    want = np.concatenate([M._lg_basis(o).conj().T @ c for o, c in blocks.items()])
+    assert np.max(np.abs(w - want)) <= 1e-14
+    assert np.array_equal(l, np.concatenate([np.arange(o, -o - 1, -2) for o in orders]))
+    back = M._from_oam(blocks, w)
+    assert np.max(np.abs(back - np.concatenate(list(blocks.values())))) <= 1e-13
+
+
+def test_states_from_rows_keep_nonzero_blocks_as_read_only_views():
+    e = M.ModeExpansion({(0, 0): 1.0, (1, 2): 2.0, (40, 0): 1j}, GEOM)
+    rows = np.zeros((2, 1 + 4 + 41), complex)
+    rows[0, 0], rows[0, 3], rows[1, 5 + 40] = 1.0, 2.0, 3.0
+    first, second = e._from_rows(rows)
+    assert list(first.blocks) == [0, 3] and list(second.blocks) == [40]
+    assert first.terms == {M.HGIndex(0, 0): 1.0, M.HGIndex(2, 1): 2.0}
+    assert second.terms == {M.HGIndex(40, 0): 3.0}
+    for block in [*first.blocks.values(), *second.blocks.values()]:
+        assert block.base is rows and not block.flags.writeable
+    assert first.norm_sq() == 5.0 and second.norm_sq() == 9.0
 
 
 @PROPERTY

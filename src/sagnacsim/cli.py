@@ -23,6 +23,7 @@ from .geometry import sweep_theta
 from .interferometer import (
     MAX_CASCADE_DEPTH,
     SagnacStage,
+    _oam_leaf_powers,
     cascade_build,
     cascade_route,
     parse_network,
@@ -338,10 +339,10 @@ def cmd_cascade(args) -> None:
         for leaf in leaves:
             rows.append(f"{label},{leaf.label},{formats.fmt_float(leaf.power)}")
     else:
-        for l in _parse_l_list("-3..3" if args.l is None else args.l):
-            leaves = cascade_route(root, LGIndex(0, l))
-            for leaf in leaves:
-                rows.append(f"l={l},{leaf.label},{formats.fmt_float(leaf.power)}")
+        ls = _parse_l_list("-3..3" if args.l is None else args.l)
+        labels, powers = _oam_leaf_powers(root, ls)
+        for l, column in zip(ls, powers.T):
+            rows += [f"l={l},{leaf},{formats.fmt_float(p)}" for leaf, p in zip(labels, column.tolist())]
     path = os.path.join(args.out_dir, args.output)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")

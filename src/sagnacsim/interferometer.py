@@ -20,9 +20,12 @@ Stages and cascades therefore work on the LG amplitudes of the per-order
 blocks (:func:`sagnacsim.modes._to_oam`), which keeps port powers
 conserved to machine precision at every order.  A tree of such stages
 sorts OAM by residue, the Sagnac counterpart of the Mach-Zehnder cascade
-of Leach et al., PRL 88, 257901 (2002).  A cascade computes the port
-factors of all its stages at once and returns each leaf's power with its
-LG amplitudes; a leaf goes back to HG blocks only when its state is read.
+of Leach et al., PRL 88, 257901 (2002).  A sorting tree is immutable and
+keeps a level plan from its first route; a cascade goes down it level by
+level, multiplying each level's gathered port factors (one table of
+stages by OAM values per route) by its parents' rows, and returns each
+leaf's power with its LG amplitudes; a leaf goes back to HG blocks only
+when its state is read.
 
 The polarization elements are Jones-matrix functions: :func:`rotation2`
 (also the Faraday rotator), :func:`retarder` (a waveplate, and on the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,24 +92,22 @@ class PortPair:
     input_norm_sq: float
 
 
-def _port_factors(omega, phase, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Port A and B amplitudes of LG modes with OAM ``l`` at image rotation
-    ``omega`` and device phase factor ``phase`` = e^{i phi}: one stage's as
-    scalars, or several stages' as columns, one row per stage.  Each
-    exponential is taken in place and B is formed in the storage of the
-    R(+Omega) eigenvalues, so at most three result-sized arrays exist."""
-    plus = -1j * l * omega
-    np.exp(plus, out=plus)  # R(+Omega) eigenvalue
-    minus = 1j * l * omega
-    np.exp(minus, out=minus)
+def _port_factor_table(omega, phase, top: int) -> np.ndarray:
+    """Port A and B amplitudes of the LG modes with OAM l = -top..top at
+    image rotation ``omega`` and device phase factor ``phase`` = e^{i phi}:
+    shape (2, 2 top + 1) for one stage, (stages, 2, 2 top + 1) for arrays of
+    stages.  exp(i l Omega) is taken once per |l|: its conjugate gives -l,
+    and the l axis reversed gives the R(+Omega) eigenvalues exp(-i l Omega),
+    so every factor has the bits of evaluating each exponential directly."""
+    half = np.exp(1j * np.arange(top + 1) * np.asarray(omega)[..., None])
+    minus = np.concatenate([half[..., :0:-1].conj(), half], axis=-1)
+    plus = minus[..., ::-1]
     # e^{i phi} multiplies the exponential instead of joining the exponent,
     # which would move the powers the CLI prints in their last digits.
-    minus *= phase
-    a = plus + minus
-    a *= 0.5
-    plus -= minus
-    plus *= 0.5
-    return a, plus
+    minus = minus * np.asarray(phase)[..., None]
+    table = np.stack([plus + minus, plus - minus], axis=-2)
+    table *= 0.5
+    return table
 
 
 def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
@@ -116,16 +118,10 @@ def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
     parity components (each rotated by 90 degrees).
     """
     w, l = _to_oam(expansion.blocks)
-    port_a, port_b = expansion._from_rows(_from_oam(expansion.blocks, _stage_factors(stage, l) * w))
-    return PortPair(port_a, port_b, expansion.norm_sq())
-
-
-def _stage_factors(stage: SagnacStage, l: np.ndarray) -> np.ndarray:
-    """Port A and B factors of one stage at each OAM in ``l``, as the two rows
-    of one array: :func:`_port_factors` of each distinct l in -N..N, gathered."""
     top = int(l.max(initial=0))
-    table = np.array(_port_factors(stage.omega, cmath.exp(1j * stage.phi), np.arange(-top, top + 1)))
-    return table.take(l + top, axis=1)
+    factors = _port_factor_table(stage.omega, cmath.exp(1j * stage.phi), top).take(l + top, axis=1)
+    port_a, port_b = expansion._from_rows(_from_oam(expansion.blocks, factors * w))
+    return PortPair(port_a, port_b, expansion.norm_sq())
 
 
 def port_powers(pair: PortPair) -> tuple[float, float]:
@@ -158,18 +154,71 @@ def mz_1d_sort(expansion: ModeExpansion) -> PortPair:
 # Cascaded OAM sorting
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CascadeNode:
-    """Node of a sorting tree: an internal stage or a labeled leaf."""
+    """Node of a sorting tree: an internal stage or a labeled leaf.  A tree
+    is immutable and compares by identity, and a root keeps the route plan
+    built on its first route; the repr shows the label and stage only."""
 
     label: str
     stage: SagnacStage | None = None
-    child_a: "CascadeNode | None" = None
-    child_b: "CascadeNode | None" = None
+    child_a: "CascadeNode | None" = field(default=None, repr=False)
+    child_b: "CascadeNode | None" = field(default=None, repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.stage is None
+
+    @cached_property
+    def _plan(self) -> _RoutePlan:
+        return _route_plan(self)
+
+
+@dataclass(frozen=True)
+class _RoutePlan:
+    """A tree's stages (Omega and e^{i phi}, stage k at factor table rows
+    2k and 2k + 1 for ports A and B) and leaf labels in depth-first order,
+    port A first, and per level of stages the index arrays of the products:
+    ``places`` (the rows of the level above, or of the input, that each
+    multiplies), ``factor_rows``, and the ``leaf_rows`` at ``leaf_slots``."""
+
+    omega: np.ndarray
+    phase: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    labels: tuple[str, ...]
+
+
+def _route_plan(root: CascadeNode) -> _RoutePlan:
+    if root.is_leaf:
+        return _RoutePlan(np.zeros(0), np.zeros(0, dtype=complex), (), (root.label,))
+    omega: list[float] = []
+    phase: list[complex] = []
+    labels: list[str] = []
+    levels: list[tuple[list, list, list, list]] = []
+    todo = [(root, -1, 0)]  # node, its parent's level, its row there
+    while todo:
+        node, above, row = todo.pop()
+        if node.is_leaf:
+            _, _, leaf_rows, leaf_slots = levels[above]
+            leaf_rows.append(row)
+            leaf_slots.append(len(labels))
+            labels.append(node.label)
+            continue
+        if above + 1 == len(levels):
+            levels.append(([], [], [], []))
+        places, factor_rows, _, _ = levels[above + 1]
+        k, i = len(omega), len(places)
+        places += (row, row)
+        factor_rows += (2 * k, 2 * k + 1)
+        omega.append(node.stage.omega)
+        phase.append(cmath.exp(1j * node.stage.phi))
+        todo += ((node.child_b, above + 1, i + 1), (node.child_a, above + 1, i))
+    return _RoutePlan(
+        np.array(omega),
+        np.array(phase, dtype=complex),
+        tuple(tuple(np.array(index, dtype=np.intp) for index in level) for level in levels),
+        tuple(labels),
+    )
 
 
 def cascade_build(depth: int) -> CascadeNode:
@@ -210,7 +259,7 @@ class LeafPower:
     label: str
     power: float
     _source: ModeExpansion | None = field(repr=False, compare=False)
-    _row: np.ndarray = field(repr=False, compare=False)
+    _row: np.ndarray | None = field(repr=False, compare=False)
 
     @cached_property
     def state(self) -> ModeExpansion | None:
@@ -222,51 +271,69 @@ class LeafPower:
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     """Route an input through a sorting tree; returns per-leaf power fractions.
 
-    The input is taken to LG amplitudes once.  A depth-first walk lists
-    the stages, whose port factors are then computed all at once; a second
-    walk in the same order only multiplies each node's amplitudes by its
-    stage's factors, and each leaf keeps its amplitudes and power.  Both
-    walks keep their own stack, so they hold no arrays in reference cycles
-    and a deep network cannot exhaust Python's recursion limit.
-    An :class:`LGIndex` input is the single amplitude 1 at its l, so its
-    leaves carry powers only; a :class:`ModeExpansion` input's leaves go
-    back to HG, each on the first read of its ``state``.  Leaves are listed
-    in depth-first order, port A first.
+    The input is taken to LG amplitudes once and goes down the tree level
+    by level, along the plan the tree keeps (:class:`_RoutePlan`): each
+    level multiplies its stages' port factors, gathered from one table of
+    stages by OAM values, by its parents' rows.  The leaf rows land in one
+    array, which the leaves view, and a leaf's power is numpy's sum of
+    re^2 + im^2 over its row.  Nothing recurses, so a deep network cannot
+    exhaust Python's recursion limit.  An :class:`LGIndex` input is the
+    single amplitude 1 at its l, so its leaves carry powers only; a
+    :class:`ModeExpansion` input's leaves go back to HG, each on the first
+    read of its ``state``.  Leaves are listed in depth-first order, port A
+    first.
     """
     if isinstance(input_state, LGIndex):
-        expansion, total = None, 1.0
-        w, l = np.ones(1, dtype=complex), np.array([input_state.l])
-    elif isinstance(input_state, ModeExpansion):
-        expansion, total = input_state, input_state.norm_sq()
-        if total == 0.0:
-            raise ValueError("zero input power")
-        w, l = _to_oam(expansion.blocks)
-    else:
+        labels, powers = _oam_leaf_powers(node, [input_state.l])
+        return [LeafPower(label, power, None, None) for label, (power,) in zip(labels, powers.tolist())]
+    if not isinstance(input_state, ModeExpansion):
         raise TypeError("input must be an LGIndex or a ModeExpansion")
-    stages: list[SagnacStage] = []
-    todo = [node]  # depth-first, port A first
-    while todo:
-        n = todo.pop()
-        if not n.is_leaf:
-            stages.append(n.stage)
-            todo += (n.child_b, n.child_a)
-    factor_a, factor_b = _port_factors(  # row k: stage k's factors
-        np.array([stage.omega for stage in stages])[:, None],
-        np.array([cmath.exp(1j * stage.phi) for stage in stages])[:, None],
-        l,
-    )
-    leaves: list[LeafPower] = []
-    todo = [(node, w)]  # the same walk meets the stages in the same order
-    k = 0
-    while todo:
-        n, amps = todo.pop()
-        if n.is_leaf:
-            power = float(np.vdot(amps, amps).real) / total
-            leaves.append(LeafPower(n.label, power, expansion, amps))
-        else:
-            todo += ((n.child_b, factor_b[k] * amps), (n.child_a, factor_a[k] * amps))
-            k += 1
-    return leaves
+    total = input_state.norm_sq()
+    if total == 0.0:
+        raise ValueError("zero input power")
+    plan = node._plan
+    w, l = _to_oam(input_state.blocks)
+    rows = np.empty((len(plan.labels), len(w)), dtype=complex)
+    powers = np.empty(len(plan.labels))
+    for slots, leaves in _leaf_levels(plan, w, l):
+        rows[slots] = leaves
+        powers[slots] = _squares(leaves).sum(axis=1)
+    powers /= total
+    return [
+        LeafPower(label, power, input_state, row)
+        for label, power, row in zip(plan.labels, powers.tolist(), rows)
+    ]
+
+
+def _oam_leaf_powers(node: CascadeNode, ls) -> tuple[tuple[str, ...], np.ndarray]:
+    """Leaf labels, and the power of the LG mode of each OAM in ``ls`` at
+    each leaf (one row per leaf, one column per l).  The modes go through
+    the tree as one amplitude vector with entry 1 for each l."""
+    plan = node._plan
+    powers = np.empty((len(plan.labels), len(ls)))
+    for slots, leaves in _leaf_levels(plan, np.ones(len(ls), dtype=complex), np.array(ls)):
+        powers[slots] = _squares(leaves)
+    return plan.labels, powers
+
+
+def _leaf_levels(plan: _RoutePlan, w: np.ndarray, l: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The amplitudes ``w`` (at OAM ``l``) that reach the leaves, one level
+    at a time: the leaves' slots in depth-first order, and their rows."""
+    if not plan.levels:  # the root is a leaf
+        yield [0], w[None]
+        return
+    top = int(np.abs(l).max(initial=0))
+    table = _port_factor_table(plan.omega, plan.phase, top).reshape(-1, 2 * top + 1)
+    columns = l + top
+    products = w[None]
+    for places, factor_rows, leaf_rows, leaf_slots in plan.levels:
+        products = table.take(factor_rows, axis=0).take(columns, axis=1) * products.take(places, axis=0)
+        yield leaf_slots, products.take(leaf_rows, axis=0)
+
+
+def _squares(amps: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of each amplitude: for one entry the bits of np.vdot."""
+    return amps.real ** 2 + amps.imag ** 2
 
 
 def parse_network(text: str) -> CascadeNode:
@@ -336,27 +403,28 @@ def parse_network(text: str) -> CascadeNode:
         which = _stage_names(roots) if roots else f"every stage is routed to: {_stage_names(list(stages))}"
         raise ValueError(f"network must have exactly one root, found {len(roots)} ({which})")
 
-    # One node per stage, linked along the routes; an unrouted port is a
-    # leaf.  One stack walk from the root finds the reached stages, so a
-    # deep chain cannot exhaust Python's recursion limit.  With one route
-    # into each stage, no cycle is reachable from the root: a cycle shows
-    # as unreached stages.
-    nodes = {name: CascadeNode(label=name, stage=stage) for name, stage in stages.items()}
-    for name, node in nodes.items():
-        node.child_a, node.child_b = (
-            nodes[routes[name, port][0]] if (name, port) in routes else CascadeNode(f"{name}.{port}")
-            for port in "AB"
-        )
-    reached: set[str] = set()
-    todo = [nodes[roots[0]]]
+    # One stack walk from the root lists the reached stages, each after the
+    # stage that routes to it; the nodes are then built in reverse, children
+    # first, with an unrouted port as a leaf.  Nothing recurses, so a deep
+    # chain cannot exhaust Python's recursion limit.  With one route into
+    # each stage, no cycle is reachable from the root: a cycle shows as
+    # unreached stages.
+    reached: list[str] = []
+    todo = [roots[0]]
     while todo:
-        node = todo.pop()
-        if not node.is_leaf:
-            reached.add(node.label)
-            todo += (node.child_a, node.child_b)
-    unreached = [name for name in stages if name not in reached]
+        name = todo.pop()
+        reached.append(name)
+        todo += (routes[name, port][0] for port in "AB" if (name, port) in routes)
+    seen = set(reached)
+    unreached = [name for name in stages if name not in seen]
     if unreached:
         raise ValueError(f"network contains stages unreachable from the root: {_stage_names(unreached)}")
+    nodes: dict[str, CascadeNode] = {}
+    for name in reversed(reached):
+        nodes[name] = CascadeNode(name, stages[name], *(
+            nodes[routes[name, port][0]] if (name, port) in routes else CascadeNode(f"{name}.{port}")
+            for port in "AB"
+        ))
     return nodes[roots[0]]
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -361,13 +362,28 @@ def test_order_170_transfer_holds_bounded_caches():
     assert M._layout.cache_info().maxsize is not None
 
 
+def direct_port_factors(omega, phase, l):
+    """Port A and B factors of each stage (omega, phase = e^{i phi}) at each
+    OAM in l, each exponential evaluated on its own."""
+    plus = np.exp(-1j * l * omega)
+    minus = np.exp(1j * l * omega) * phase
+    return np.array([(plus + minus) * 0.5, (plus - minus) * 0.5])
+
+
 def test_stage_factors_are_the_direct_port_factors():
     rng = np.random.default_rng(3)
-    l = np.concatenate([np.arange(o, -o - 1, -2) for o in (0, 3, M.MAX_ORDER, 41)])
-    for _ in range(200):
-        stage = I.SagnacStage(rng.uniform(0, math.pi), rng.uniform(-10, 10))
-        direct = I._port_factors(stage.omega, cmath.exp(1j * stage.phi), l)
-        assert np.array_equal(I._stage_factors(stage, l), np.array(direct))
+    for k in range(200):
+        top = int(rng.integers(0, M.MAX_ORDER + 1)) if k else M.MAX_ORDER
+        theta = (0.0, math.pi / 4, math.pi / 2, math.pi)[k % 4] if k % 5 == 0 else rng.uniform(0, math.pi)
+        stage = I.SagnacStage(theta, rng.uniform(-10, 10) if k % 3 else 0.0)
+        phase = cmath.exp(1j * stage.phi)
+        table = I._port_factor_table(stage.omega, phase, top)
+        direct = direct_port_factors(stage.omega, phase, np.arange(-top, top + 1))
+        assert np.array_equal(table.view(np.uint64), direct.view(np.uint64))  # also the signs of zeros
+    omega = rng.uniform(0.0, math.pi, 50)
+    phase = np.exp(1j * rng.uniform(-10.0, 10.0, 50))
+    direct = direct_port_factors(omega[:, None], phase[:, None], np.arange(-40, 41)).transpose(1, 0, 2)
+    assert np.array_equal(I._port_factor_table(omega, phase, 40).view(np.uint64), direct.view(np.uint64))
 
 
 def test_cascade_matches_reference_through_depth_5():
@@ -396,6 +412,15 @@ def test_cascade_rejects_other_inputs():
         I.cascade_route(I.cascade_build(1), (0, 2))
     with pytest.raises(ValueError, match="zero input"):
         I.cascade_route(I.cascade_build(1), M.ModeExpansion({}, GEOM))
+
+
+def test_a_lone_leaf_passes_its_input():
+    e = random_expansion(np.random.default_rng(13), 4)
+    (leaf,) = I.cascade_route(I.CascadeNode("only"), e)
+    assert leaf.label == "only" and abs(leaf.power - 1.0) < 1e-15
+    assert max_diff(leaf.state.terms, e.terms) < 1e-12
+    (leaf,) = I.cascade_route(I.CascadeNode("only"), M.LGIndex(0, 7))
+    assert (leaf.label, leaf.power, leaf.state) == ("only", 1.0, None)
 
 
 def test_cascade_routes_a_chain_deeper_than_the_recursion_limit():
@@ -440,23 +465,41 @@ def test_cascade_chain_holds_little_more_than_its_leaf_rows():
     assert held <= 1.2 * rows and peak <= 4.5 * rows
 
 
-def test_stacked_port_factors_peak_at_three_result_sized_arrays():
-    # 300 stages stacked as rows over D = 861 LG amplitudes (order 40): the
-    # two factor arrays returned hold 2 of these units, and forming them
-    # needs at most one more.
-    rng = np.random.default_rng(5)
-    l = np.concatenate([np.arange(o, -o - 1, -2) for o in range(41)])
-    omega = rng.uniform(0.0, math.pi, (300, 1))
-    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (300, 1)))
-    unit = 300 * len(l) * 16
+def test_cascade_chain_route_peaks_at_three_leaf_row_units():
+    # The route of a tree it has not planned yet: the plan, the factor table,
+    # the level products and the powers come on top of the leaf rows.
+    lines = [f"stage s{i} theta=0.8 phi=0.3" for i in range(300)]
+    lines += [f"route s{i}.A -> s{i + 1}" for i in range(299)]
+    text = "\n".join(lines) + "\n"
+    e = random_expansion(np.random.default_rng(12), 40)
+    I.cascade_route(I.parse_network(text), e)  # builds the cached per-order LG bases
+    root = I.parse_network(text)
+    rows = 300 * 861 * 16
     tracemalloc.start()
     try:
-        factors = I._port_factors(omega, phase, l)
+        leaves = I.cascade_route(root, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [f.shape for f in factors] == [(300, 861)] * 2
-    assert peak <= 3.2 * unit
+    assert len(leaves) == 301
+    assert peak <= 3 * rows
+
+
+def test_port_factor_table_is_stages_by_oam_values():
+    # 300 stages and an order-40 input (D = 861 LG amplitudes): the table
+    # holds both ports of each stage at l = -40..40, not at each amplitude.
+    rng = np.random.default_rng(5)
+    omega = rng.uniform(0.0, math.pi, 300)
+    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 300))
+    unit = 300 * 2 * 81 * 16
+    tracemalloc.start()
+    try:
+        table = I._port_factor_table(omega, phase, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (300, 2, 81) and table.nbytes == unit
+    assert peak <= 3.5 * unit
 
 
 def test_parse_network_builds_a_chain_deeper_than_the_recursion_limit():
@@ -469,9 +512,11 @@ def test_parse_network_builds_a_chain_deeper_than_the_recursion_limit():
     assert node.is_leaf and node.label == "s2999.A"
 
 
-_hg_index = st.integers(0, M.MAX_ORDER).flatmap(
-    lambda order: st.integers(0, order).map(lambda n: (n, order - n))
-)
+def hg_indices(max_order):
+    return st.integers(0, max_order).flatmap(lambda order: st.integers(0, order).map(lambda n: (n, order - n)))
+
+
+_hg_index = hg_indices(M.MAX_ORDER)
 _amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False)
 _DEPTH_5 = I.cascade_build(5)
 
@@ -492,26 +537,26 @@ def test_port_and_leaf_powers_sum_to_one_up_to_max_order(terms, theta, phi):
 
 
 @st.composite
-def random_network(draw):
-    """Text of a network file: 1-12 stages at random theta and phi, each
-    stage after the first routed from a random free port, so that leaves sit
-    at different depths; lines in random order."""
-    count = draw(st.integers(1, 12))
+def random_network(draw, max_stages=12, max_depth=None):
+    """Text of a network file: 1 to ``max_stages`` stages at random theta and
+    phi, each stage after the first routed from a random free port of a
+    stage less than ``max_depth`` deep, so that leaves sit at different
+    depths; lines in random order."""
+    count = draw(st.integers(1, max_stages))
     lines = [
         f"stage s{i} theta={draw(st.floats(0.0, math.pi))!r} phi={draw(st.floats(-10.0, 10.0))!r}"
         for i in range(count)
     ]
-    free = [("s0", "A"), ("s0", "B")]
+    free = [("s0", "A", 1), ("s0", "B", 1)]  # (stage, port, depth of the stage)
     for child in range(1, count):
-        parent, port = free.pop(draw(st.integers(0, len(free) - 1)))
+        open_ports = [i for i, (_, _, depth) in enumerate(free) if max_depth is None or depth < max_depth]
+        parent, port, depth = free.pop(draw(st.sampled_from(open_ports)))
         lines.append(f"route {parent}.{port} -> s{child}")
-        free += [(f"s{child}", "A"), (f"s{child}", "B")]
+        free += [(f"s{child}", "A", depth + 1), (f"s{child}", "B", depth + 1)]
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
-_low_hg_index = st.integers(0, 40).flatmap(
-    lambda order: st.integers(0, order).map(lambda n: (n, order - n))
-)
+_low_hg_index = hg_indices(40)
 
 
 @settings(max_examples=40, deadline=None)
@@ -534,6 +579,81 @@ def test_random_networks_route_like_the_reference(text, terms, lg):
     assert [(leaf.label, leaf.state) for leaf in got] == [(label, None) for label, _, _ in want]
     for leaf, (_, power, _) in zip(got, want):
         assert abs(leaf.power - power) <= 1e-12
+
+
+def per_node_rows(node, w, l):
+    """Leaf rows of the per-node walk that the level plan replaced: the
+    factors of all stages at every amplitude, listed depth-first, then each
+    node's amplitudes times its stage's factors, port A first."""
+    stages, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        if not n.is_leaf:
+            stages.append(n.stage)
+            todo += (n.child_b, n.child_a)
+    factor_a, factor_b = direct_port_factors(
+        np.array([stage.omega for stage in stages])[:, None],
+        np.array([cmath.exp(1j * stage.phi) for stage in stages])[:, None],
+        l,
+    )
+    rows, todo, k = [], [(node, w)], 0
+    while todo:
+        n, amps = todo.pop()
+        if n.is_leaf:
+            rows.append(amps)
+        else:
+            todo += ((n.child_b, factor_b[k] * amps), (n.child_a, factor_a[k] * amps))
+            k += 1
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    text=random_network(max_stages=40, max_depth=8),
+    terms=st.dictionaries(hg_indices(12), _amplitude, min_size=1, max_size=8),
+    ls=st.lists(st.integers(-M.MAX_ORDER, M.MAX_ORDER), min_size=1, max_size=12),
+)
+def test_level_plan_routes_random_trees_like_the_per_node_walk(text, terms, ls):
+    root = I.parse_network(text)
+    e = M.ModeExpansion(terms, GEOM)
+    got = I.cascade_route(root, e)
+    want = reference_cascade(root, e)
+    assert [leaf.label for leaf in got] == [label for label, _, _ in want]
+    assert max(abs(leaf.power - power) for leaf, (_, power, _) in zip(got, want)) <= 1e-12
+    w, l = M._to_oam(e.blocks)
+    walked = per_node_rows(root, w, l)
+    assert all(np.array_equal(leaf._row, row) for leaf, row in zip(got, walked))
+    # Every l in one pass: each (leaf, l) power has the bits of a one-l route.
+    labels, powers = I._oam_leaf_powers(root, ls)
+    assert list(labels) == [leaf.label for leaf in got]
+    for l, column in zip(ls, powers.T.tolist()):
+        assert column == [leaf.power for leaf in I.cascade_route(root, M.LGIndex(0, l))]
+        assert column == [np.vdot(row, row).real for row in per_node_rows(root, np.ones(1, complex), np.array([l]))]
+
+
+def test_a_tree_routed_twice_builds_its_plan_once(monkeypatch):
+    calls = []
+    route_plan = I._route_plan
+    monkeypatch.setattr(I, "_route_plan", lambda root: calls.append(root) or route_plan(root))
+    tree = I.cascade_build(3)
+    e = random_expansion(np.random.default_rng(8), 5)
+    first = I.cascade_route(tree, e)
+    second = I.cascade_route(tree, e)
+    I.cascade_route(tree, M.LGIndex(0, 3))
+    assert calls == [tree]
+    assert [(leaf.label, leaf.power) for leaf in first] == [(leaf.label, leaf.power) for leaf in second]
+
+
+def test_a_deep_tree_is_frozen_with_a_short_repr_and_identity_equality():
+    lines = [f"stage s{i} theta=0.8 phi=0" for i in range(3000)]
+    lines += [f"route s{i}.A -> s{i + 1}" for i in range(2999)]
+    text = "\n".join(lines) + "\n"
+    chain, other = I.parse_network(text), I.parse_network(text)
+    assert repr(chain) == "CascadeNode(label='s0', stage=SagnacStage(theta=0.8, phi=0.0))"
+    assert chain == chain and chain != other and hash(chain) != hash(other)
+    for name, value in (("label", "x"), ("child_a", None), ("stage", I.PARITY_STAGE)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chain, name, value)
 
 
 # ---------------------------------------------------------------------------

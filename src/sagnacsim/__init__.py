@@ -24,10 +24,7 @@ from .modes import (
     LGIndex,
     ModeExpansion,
     decompose_grid,
-    hg_field_at,
     lg_to_hg,
-    oam_phase,
-    parity_1d,
     parity_2d,
     rotate_exact,
     sample_lg,
@@ -36,13 +33,11 @@ from .modes import (
 from .geometry import (
     HelicitySequence,
     MirrorPath,
-    SorterAngles,
     build_sagnac_path,
     euler_area,
     helicity_from_path,
     omega_from_theta,
     psi_from_omega,
-    signed_loop_area,
     theta_for_psi,
 )
 from .interferometer import (
@@ -61,11 +56,8 @@ from .interferometer import (
 from .quantum import (
     BiphotonExpansion,
     CompressorSpec,
-    FiberSpec,
     compressor_apply,
     fiber_filter_biphoton,
-    fiber_filter_single,
-    guided_modes,
     herald,
     load_biphoton_table,
     pbs_split_bell,

@@ -307,10 +307,12 @@ def _parse_l_list(text: str) -> list[int]:
             raise UsageError(
                 f"bad l list entry '{chunk}': expected an integer or a..b"
             ) from None
+        if lo > hi:
+            raise UsageError(f"bad l list entry '{chunk}': a range a..b needs a <= b")
         if max(abs(lo), abs(hi)) > MAX_ORDER:
             raise UsageError(f"l list entry '{chunk}' goes beyond |l| = {MAX_ORDER}")
         ranges.append((lo, hi))
-    count = sum(max(hi - lo + 1, 0) for lo, hi in ranges)
+    count = sum(hi - lo + 1 for lo, hi in ranges)
     if not count:
         raise UsageError("empty l list")
     if count > MAX_L_VALUES:

@@ -43,16 +43,12 @@ class MirrorPath:
                 raise ValueError("consecutive segments are antiparallel")
         object.__setattr__(self, "segments", segs)
 
-    def reversed(self) -> "MirrorPath":
-        return MirrorPath(tuple(-s for s in reversed(self.segments)))
-
 
 @dataclass(frozen=True)
 class HelicitySequence:
-    """Helicity vectors of a path, one per segment, with reflection parity."""
+    """Helicity vectors of a path, one per segment."""
 
     vectors: tuple
-    parities: tuple
 
     def __len__(self):
         return len(self.vectors)
@@ -64,37 +60,10 @@ def helicity_from_path(path: MirrorPath) -> HelicitySequence:
     If the final vector closes back onto the first (within 1e-9) the closing
     duplicate is dropped, leaving only the unique loop points.
     """
-    vecs = []
-    pars = []
-    for j, k in enumerate(path.segments):
-        vecs.append(((-1.0) ** j) * k)
-        pars.append(j % 2)
+    vecs = [((-1.0) ** j) * k for j, k in enumerate(path.segments)]
     if len(vecs) > 2 and np.linalg.norm(vecs[-1] - vecs[0]) < CLOSE_TOL:
         vecs.pop()
-        pars.pop()
-    return HelicitySequence(tuple(vecs), tuple(pars))
-
-
-def signed_loop_area(seq: HelicitySequence) -> float:
-    """Signed spherical area enclosed by the helicity loop.
-
-    Fan-triangulates the loop from its first vertex and sums the signed
-    solid angle of each geodesic triangle via the half-angle tangent
-    formula.  Coplanar (zero triple product) triangles contribute zero, so
-    planar mirror paths report zero enclosed area.
-    """
-    vecs = seq.vectors
-    if len(vecs) < 3:
-        return 0.0
-    total = 0.0
-    a = vecs[0]
-    for b, c in zip(vecs[1:-1], vecs[2:]):
-        triple = float(np.dot(a, np.cross(b, c)))
-        denom = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(c, a))
-        if abs(triple) < 1e-14:
-            continue
-        total += 2.0 * math.atan2(triple, denom)
-    return total
+    return HelicitySequence(tuple(vecs))
 
 
 def helicity_triangle_angles(seq: HelicitySequence) -> tuple[float, float, float]:
@@ -117,7 +86,7 @@ def euler_area(alpha: float, beta: float, gamma: float) -> float:
     The arcs are angles (arccos of the helicity dot products); treating the
     dot products themselves as the arguments would be dimensionally
     inconsistent.  Returns unsigned Omega in [0, 2*pi]; orientation is the
-    caller's concern (see :func:`signed_loop_area`).
+    caller's concern.
     """
     for name, ang in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not 0.0 < ang < math.pi:
@@ -161,23 +130,6 @@ def theta_for_psi(psi: float) -> float:
     if not 0.0 < psi <= math.pi:
         raise ValueError("psi must lie in (0, pi]")
     return math.pi / 2 - psi / 4
-
-
-@dataclass(frozen=True)
-class SorterAngles:
-    """Base angle of the isosceles mirror triangle and its apex angle."""
-
-    theta: float
-    beta: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        expected = math.pi - 2.0 * self.theta
-        if self.beta is None:
-            object.__setattr__(self, "beta", expected)
-        elif abs(self.beta - expected) > 1e-12:
-            raise ValueError("apex angle must equal pi - 2*theta")
 
 
 def build_sagnac_path(theta: float) -> MirrorPath:

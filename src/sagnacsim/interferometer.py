@@ -49,6 +49,7 @@ from .geometry import omega_from_theta, psi_from_omega, theta_for_psi
 from .modes import (
     LGIndex,
     ModeExpansion,
+    _check_lg_index,
     _from_oam,
     _to_oam,
     rotate_exact,  # no caller; the benchmark's tracer wraps interferometer.rotate_exact
@@ -156,14 +157,19 @@ def mz_1d_sort(expansion: ModeExpansion) -> PortPair:
 
 @dataclass(frozen=True, eq=False)
 class CascadeNode:
-    """Node of a sorting tree: an internal stage or a labeled leaf.  A tree
-    is immutable and compares by identity, and a root keeps the route plan
-    built on its first route; the repr shows the label and stage only."""
+    """Node of a sorting tree: a stage with both children, or a labeled leaf
+    with neither.  A tree is immutable and compares by identity, and a root
+    keeps the route plan built on its first route; the repr shows the label
+    and stage only."""
 
     label: str
     stage: SagnacStage | None = None
     child_a: "CascadeNode | None" = field(default=None, repr=False)
     child_b: "CascadeNode | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not (self.stage is None) == (self.child_a is None) == (self.child_b is None):
+            raise ValueError(f"cascade node '{self.label}' needs a stage and both children, or none of them")
 
     @property
     def is_leaf(self) -> bool:
@@ -284,7 +290,7 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     first.
     """
     if isinstance(input_state, LGIndex):
-        labels, powers = _oam_leaf_powers(node, [input_state.l])
+        labels, powers = _oam_leaf_powers(node, [_check_lg_index(input_state).l])
         return [LeafPower(label, power, None, None) for label, (power,) in zip(labels, powers.tolist())]
     if not isinstance(input_state, ModeExpansion):
         raise TypeError("input must be an LGIndex or a ModeExpansion")

@@ -29,7 +29,6 @@ pairs.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections.abc import Mapping
@@ -97,6 +96,17 @@ def _check_index(idx) -> HGIndex:
     return idx
 
 
+def _check_lg_index(idx) -> LGIndex:
+    if not all(isinstance(v, (int, np.integer)) for v in idx):
+        raise ValueError(f"LG indices must be integers, got {tuple(idx)}")
+    idx = LGIndex(int(idx[0]), int(idx[1]))
+    if idx.p < 0:
+        raise ValueError("radial index p must be nonnegative")
+    if idx.order > MAX_ORDER:
+        raise ValueError(f"order too large: {idx.order} exceeds {MAX_ORDER}")
+    return idx
+
+
 def hermite_gauss_ladder(nmax: int, x, w0: float) -> np.ndarray:
     """All 1-D waist-plane Hermite-Gauss factors h_0..h_nmax at points x.
 
@@ -125,18 +135,6 @@ def hermite_gauss_ladder(nmax: int, x, w0: float) -> np.ndarray:
         )
         out[k + 1] = scale * phi
     return out
-
-
-def hg_field_at(idx: HGIndex, x, y, geom: BeamGeometry):
-    """Waist-plane HG_nm field value(s) at x, y (scalars or arrays).
-
-    Real-valued at the waist.  Raises for orders beyond MAX_ORDER, where
-    the normalization factorials overflow.
-    """
-    idx = _check_index(idx)
-    hx = hermite_gauss_ladder(idx.n, x, geom.w0)[idx.n]
-    hy = hermite_gauss_ladder(idx.m, y, geom.w0)[idx.m]
-    return hx * hy
 
 
 class _Blocks:
@@ -393,12 +391,8 @@ def lg_to_hg(idx: LGIndex, geom: BeamGeometry) -> ModeExpansion:
     LG_0^{+1} = (HG_10 + i HG_01)/sqrt(2).  Exact to roundoff at every order
     up to MAX_ORDER.
     """
-    idx = LGIndex(int(idx[0]), int(idx[1]))
-    if idx.p < 0:
-        raise ValueError("radial index p must be nonnegative")
+    idx = _check_lg_index(idx)
     order = idx.order
-    if order > MAX_ORDER:
-        raise ValueError(f"order too large: {order} exceeds {MAX_ORDER}")
     # Column (order + l)/2 of the rotation by -pi/4, V diag(exp(i l pi/4)) V^dagger,
     # in O(order^2); the phases of V's columns cancel.
     basis = _lg_basis(order)
@@ -446,22 +440,6 @@ def parity_2d(idx: HGIndex) -> Parity:
     """Parity under the point inversion E(x, y) -> E(-x, -y)."""
     idx = HGIndex(*idx)
     return "even" if (idx.n + idx.m) % 2 == 0 else "odd"
-
-
-def parity_1d(idx: HGIndex) -> Parity:
-    """Parity under the single-axis mirror E(x, y) -> E(-x, y)."""
-    idx = HGIndex(*idx)
-    return "even" if idx.n % 2 == 0 else "odd"
-
-
-def oam_phase(idx: LGIndex, angle: float) -> complex:
-    """Rotation eigenvalue exp(-i l angle) of an LG mode.
-
-    Sign convention: a beam rotated anticlockwise by angle multiplies its
-    LG_l component by exp(-i l angle).
-    """
-    idx = LGIndex(int(idx[0]), int(idx[1]))
-    return cmath.exp(-1j * idx.l * angle)
 
 
 # ---------------------------------------------------------------------------

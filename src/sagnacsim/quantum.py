@@ -41,7 +41,6 @@ from .interferometer import SagnacStage, retarder
 from .modes import (
     BeamGeometry,
     HGIndex,
-    LGIndex,
     ModeExpansion,
     _Blocks,
     _check_index,
@@ -129,14 +128,6 @@ class BiphotonExpansion(_Blocks):
         if block is None or min(a.n, a.m, b.n, b.m) < 0:
             return 0j
         return complex(block[a.n, b.n])
-
-    def is_exchange_symmetric(self, tol: float = 1e-12) -> bool:
-        for (o1, o2), block in self.blocks.items():
-            mirror = self.blocks.get((o2, o1))
-            diff = block if mirror is None else block - mirror.T
-            if np.max(np.abs(diff)) > tol:
-                return False
-        return True
 
     def __repr__(self):
         inside = ", ".join(
@@ -231,94 +222,13 @@ def dump_biphoton_table(b: BiphotonExpansion) -> str:
 # Three-mode fiber
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberSpec:
-    """Weakly guiding parabolic-index fiber in its three-mode regime.
-
-    The normalized frequency is V = (omega_p n0 / c) a sqrt(2 Delta).  In
-    the parabolic-profile oscillator approximation a mode group of total
-    order N is guided when V > 2 (N + 1), so exactly the fundamental plus
-    the two first-order modes propagate for 4 < V <= 6.
-    """
-
-    core_radius: float
-    normalized_frequency: float
-    index_contrast: float
-    n0: float
-    pump_frequency: float
-
-    C_LIGHT = 299792458.0
-
-    def __post_init__(self):
-        if min(self.core_radius, self.normalized_frequency, self.index_contrast,
-               self.n0, self.pump_frequency) <= 0:
-            raise ValueError("all fiber parameters must be positive")
-        if not self.index_contrast < 0.05:
-            raise ValueError("index contrast too large for weak guidance")
-        v_check = (
-            self.pump_frequency
-            * self.n0
-            / self.C_LIGHT
-            * self.core_radius
-            * math.sqrt(2.0 * self.index_contrast)
-        )
-        if abs(v_check - self.normalized_frequency) > 1e-6 * self.normalized_frequency:
-            raise ValueError(
-                "normalized frequency inconsistent with fiber parameters"
-            )
-
-    @classmethod
-    def from_v(
-        cls,
-        core_radius: float,
-        normalized_frequency: float,
-        index_contrast: float = 0.01,
-        n0: float = 1.45,
-    ) -> "FiberSpec":
-        pump = (
-            normalized_frequency
-            * cls.C_LIGHT
-            / (n0 * core_radius * math.sqrt(2.0 * index_contrast))
-        )
-        return cls(core_radius, normalized_frequency, index_contrast, n0, pump)
-
-    @property
-    def matched_waist(self) -> float:
-        """Free-space waist that overlaps the guided fundamental: a sqrt(2/V)."""
-        return self.core_radius * math.sqrt(2.0 / self.normalized_frequency)
-
-
-def guided_modes(fiber: FiberSpec) -> list[LGIndex]:
-    """Guided LG modes of a three-mode fiber: (0,0), (0,+1), (0,-1).
-
-    Anything outside the window 4 < V <= 6 guides a different mode count
-    and is rejected; this model only covers the three-mode regime.
-    """
-    v = fiber.normalized_frequency
-    if not 4.0 < v <= 6.0:
-        raise ValueError("fiber outside three-mode regime")
-    return [LGIndex(0, 0), LGIndex(0, 1), LGIndex(0, -1)]
-
-
-def fiber_filter_single(expansion: ModeExpansion) -> tuple[ModeExpansion, float]:
-    """Project onto the guided span {HG00, HG10, HG01}.
-
-    Returns the projected expansion and the transmitted power fraction.
-    A zero projection is flagged with a warning, not an error.
-    """
-    out = expansion._with_blocks({o: b for o, b in expansion.blocks.items() if o <= 1})
-    total = expansion.norm_sq()
-    fraction = out.norm_sq() / total if total > 0 else 0.0
-    if total > 0 and out.norm_sq() == 0.0:
-        warnings.warn("fiber filter removed all power", stacklevel=2)
-    return out, fraction
-
-
 def fiber_filter_biphoton(b: BiphotonExpansion) -> tuple[BiphotonExpansion, float]:
     """Keep terms with both photons in the guided span; renormalize.
 
-    Returns the renormalized state and the post-selection probability
-    (kept power over total power).
+    The span is orders 0 and 1: in the parabolic-index approximation a
+    fiber with normalized frequency 4 < V <= 6 guides exactly HG00, HG10
+    and HG01.  Returns the renormalized state and the post-selection
+    probability (kept power over total power).
     """
     total = b.norm_sq()
     out = b._with_blocks({key: block for key, block in b.blocks.items() if max(key) <= 1})

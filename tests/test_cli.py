@@ -9,6 +9,7 @@ from sagnacsim import cli
 from sagnacsim import formats as F
 from sagnacsim.cli import main
 from test_formats import reference_csv
+from test_modes import hg_field_at
 from test_quantum import one_term_per_block_table
 
 
@@ -366,8 +367,8 @@ def test_interfere_matches_per_term_reference(tmp_path, capsys, spec):
     tilt = np.exp(1j * (math.pi * cli.FORK_TILT_FRINGES / grid.half_width * x + cli.FORK_REF_PHASE))
     field = np.zeros(x.shape, dtype=complex)
     for idx, amp in cli.parse_mode_spec(spec, geom).terms.items():
-        field += amp * M.hg_field_at(idx, y, -x, geom)
-        field += amp * M.hg_field_at(idx, mirror * (x - dx), y - dy, geom) * tilt
+        field += amp * hg_field_at(idx, y, -x, geom)
+        field += amp * hg_field_at(idx, mirror * (x - dx), y - dy, geom) * tilt
     want = np.abs(field[::-1]) ** 2
 
     for fmt in ("csv", "pgm"):
@@ -519,7 +520,7 @@ def test_cascade_bad_network_exits_3(tmp_path, capsys):
 
 
 def test_cascade_bad_l_list_exits_2(tmp_path, capsys):
-    cases = (("--l=a..b", "a..b"), ("--l=1..2..3", "1..2..3"), ("--l=1,x", "x"))
+    cases = (("--l=a..b", "a..b"), ("--l=1..2..3", "1..2..3"), ("--l=1,x", "x"), ("--l=5..3,1", "5..3"))
     for arg, chunk in cases:
         code, _, err = run(capsys, "--out-dir", str(tmp_path), "cascade", arg)
         assert code == 2

@@ -285,8 +285,8 @@ def reference_cascade(node, input_state):
             if n.is_leaf:
                 leaves.append((n.label, weight, None))
                 return
-            plus = M.oam_phase(input_state, n.stage.omega)
-            minus = M.oam_phase(input_state, -n.stage.omega) * cmath.exp(1j * n.stage.phi)
+            plus = cmath.exp(-1j * input_state.l * n.stage.omega)
+            minus = cmath.exp(1j * (input_state.l * n.stage.omega + n.stage.phi))
             walk_lg(n.child_a, weight * abs(0.5 * (plus + minus)) ** 2)
             walk_lg(n.child_b, weight * abs(0.5 * (plus - minus)) ** 2)
 
@@ -412,6 +412,21 @@ def test_cascade_rejects_other_inputs():
         I.cascade_route(I.cascade_build(1), (0, 2))
     with pytest.raises(ValueError, match="zero input"):
         I.cascade_route(I.cascade_build(1), M.ModeExpansion({}, GEOM))
+    for idx, message in (
+        ((-3, 1), "radial index p must be nonnegative"),
+        ((0, 171), "order too large: 171 exceeds 170"),
+        ((85, -1), "order too large: 171 exceeds 170"),
+        ((0, 1.5), "LG indices must be integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            I.cascade_route(I.cascade_build(2), M.LGIndex(*idx))
+
+
+def test_a_cascade_node_has_a_stage_and_both_children_or_none():
+    leaf = I.CascadeNode("leaf")
+    for args in ((I.PARITY_STAGE,), (I.PARITY_STAGE, leaf), (I.PARITY_STAGE, None, leaf), (None, leaf, leaf)):
+        with pytest.raises(ValueError, match="needs a stage and both children, or none of them"):
+            I.CascadeNode("x", *args)
 
 
 def test_a_lone_leaf_passes_its_input():

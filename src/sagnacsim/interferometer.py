@@ -16,16 +16,16 @@ A and odd n+m exits port B.
 Both operators are diagonal in OAM: LG_p^l picks up exp(-+i l Omega) in
 the two arms, so a stage multiplies each LG amplitude of an expansion by
 the port factor (exp(-i l Omega) +- e^{i phi} exp(i l Omega)) / 2.
-Stages and cascades therefore work on the LG amplitudes of the per-order
-blocks (:func:`sagnacsim.modes._to_oam`), which keeps port powers
-conserved to machine precision at every order.  A tree of such stages
-sorts OAM by residue, the Sagnac counterpart of the Mach-Zehnder cascade
-of Leach et al., PRL 88, 257901 (2002).  A sorting tree is immutable and
-keeps a level plan from its first route; a cascade goes down it level by
-level, multiplying each level's gathered port factors (one table of
-stages by OAM values per route) by its parents' rows, and returns each
-leaf's power with its LG amplitudes; a leaf goes back to HG blocks only
-when its state is read.
+Stages and cascades therefore work on the LG amplitudes of an expansion's
+vector (:func:`sagnacsim.modes._to_oam`), which keeps port powers conserved
+to machine precision at every order, and a port's state holds its row of
+the product back as its vector.  A tree of such stages sorts OAM by
+residue, the Sagnac counterpart of the Mach-Zehnder cascade of Leach et
+al., PRL 88, 257901 (2002).  A sorting tree is immutable and keeps a level
+plan from its first route; a cascade goes down it level by level,
+multiplying each level's gathered port factors (one table of stages by OAM
+values per route) by its parents' rows, and returns each leaf's power with
+its LG amplitudes; a leaf goes back to HG only when its state is read.
 
 The polarization elements are Jones-matrix functions: :func:`rotation2`
 (also the Faraday rotator), :func:`retarder` (a waveplate, and on the
@@ -118,11 +118,11 @@ def sagnac_transfer(expansion: ModeExpansion, stage: SagnacStage) -> PortPair:
     At theta = pi/4 with phi = 0 the ports hold the even and odd 2-D
     parity components (each rotated by 90 degrees).
     """
-    w, l = _to_oam(expansion.blocks)
-    top = int(l.max(initial=0))
-    factors = _port_factor_table(stage.omega, cmath.exp(1j * stage.phi), top).take(l + top, axis=1)
-    port_a, port_b = expansion._from_rows(_from_oam(expansion.blocks, factors * w))
-    return PortPair(port_a, port_b, expansion.norm_sq())
+    layout = expansion._layout
+    top = int(layout.l.max(initial=0))
+    factors = _port_factor_table(stage.omega, cmath.exp(1j * stage.phi), top).take(layout.l + top, axis=1)
+    port_a, port_b = _from_oam(layout, factors * _to_oam(layout, expansion._vector))
+    return PortPair(expansion._with_vector(port_a), expansion._with_vector(port_b), expansion.norm_sq())
 
 
 def port_powers(pair: PortPair) -> tuple[float, float]:
@@ -143,10 +143,7 @@ def mz_1d_sort(expansion: ModeExpansion) -> PortPair:
     """
 
     def keep(parity: int) -> ModeExpansion:
-        return expansion._with_blocks({
-            o: np.where(np.arange(o + 1) % 2 == parity, block, 0j)
-            for o, block in expansion.blocks.items()
-        })
+        return expansion._with_vector(np.where(expansion._layout.n % 2 == parity, expansion._vector, 0j))
 
     return PortPair(keep(0), keep(1), expansion.norm_sq())
 
@@ -234,6 +231,8 @@ def cascade_build(depth: int) -> CascadeNode:
     branch handling residue r applies the device phase phi = -r * psi_j so
     that its locally even class (l = r mod 2**j) exits port A.
     """
+    if not isinstance(depth, (int, np.integer)):
+        raise ValueError(f"cascade depth must be an integer, got {depth!r}")
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth must lie between 1 and {MAX_CASCADE_DEPTH}")
 
@@ -271,7 +270,7 @@ class LeafPower:
     def state(self) -> ModeExpansion | None:
         if self._source is None:
             return None
-        return self._source._from_rows(_from_oam(self._source.blocks, self._row[None]))[0]
+        return self._source._with_vector(_from_oam(self._source._layout, self._row))
 
 
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
@@ -298,7 +297,7 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     if total == 0.0:
         raise ValueError("zero input power")
     plan = node._plan
-    w, l = _to_oam(input_state.blocks)
+    w, l = _to_oam(input_state._layout, input_state._vector), input_state._layout.l
     rows = np.empty((len(plan.labels), len(w)), dtype=complex)
     powers = np.empty(len(plan.labels))
     for slots, leaves in _leaf_levels(plan, w, l):

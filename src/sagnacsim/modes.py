@@ -12,19 +12,19 @@ The sorter model downstream is z-independent in the ideal case, so no Gouy
 phase or wavefront curvature is tracked.
 
 Beam states are finite complex expansions over the HG basis
-(:class:`ModeExpansion`), stored as one coefficient vector per total
-order.  Its block rules (read-only blocks, each holding a nonzero entry,
-a finite norm, scaling, normalising and pruning) live in ``_Blocks``,
-which the two-photon state of :mod:`sagnacsim.quantum` shares.  Every
-grid image is the separable product Hy^T C Hx of
-:func:`evaluate_expansion`; overlap decomposition, parity labels, and
-transverse rotation operators complete the toolkit.  Rotations, and the
-Sagnac stages built on them, are diagonal multiplies between
-:func:`_to_oam` and :func:`_from_oam`, which carry the blocks to the LG
-amplitudes of each order and back.  The LG basis of an order is real up to
-the phases i^n, so both run as one real batched product per chunk of
-consecutive orders (:func:`_chunk_basis`) on the amplitudes viewed as float
-pairs.
+(:class:`ModeExpansion`), held as one read-only coefficient vector over a
+sorted tuple of total orders, with ``blocks[o]`` a view of order o's
+entries.  The rules on a finite norm, scaling, normalising and pruning
+live in ``_Amplitudes``, which the two-photon state of
+:mod:`sagnacsim.quantum` shares.  Every grid image is the separable
+product Hy^T C Hx of :func:`evaluate_expansion`; overlap decomposition,
+parity labels, and transverse rotation operators complete the toolkit.
+Rotations, and the Sagnac stages built on them, are diagonal multiplies
+between :func:`_to_oam` and :func:`_from_oam`, which carry the vector to
+the LG amplitudes of each order, in the same places, and back.  The LG
+basis of an order is real up to the phases i^n, so both run as one real
+batched product per chunk of consecutive orders (:func:`_chunk_basis`) on
+the amplitudes viewed as float pairs.
 """
 
 from __future__ import annotations
@@ -85,10 +85,16 @@ class BeamGeometry:
             raise ValueError("waist radius w0 must be positive and finite")
 
 
+def _integer_index(idx, kind: type = HGIndex):
+    """``idx`` as a ``kind`` of ints, refusing a component that is not an integer."""
+    a, b = kind(*idx)
+    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+        raise ValueError(f"{kind.__name__.removesuffix('Index')} indices must be integers, got {(a, b)}")
+    return kind(int(a), int(b))
+
+
 def _check_index(idx) -> HGIndex:
-    if not all(isinstance(v, (int, np.integer)) for v in idx):
-        raise ValueError(f"HG indices must be integers, got {tuple(idx)}")
-    idx = HGIndex(int(idx[0]), int(idx[1]))
+    idx = _integer_index(idx)
     if idx.n < 0 or idx.m < 0:
         raise ValueError(f"HG indices must be nonnegative, got {idx}")
     if idx.order > MAX_ORDER:
@@ -97,9 +103,7 @@ def _check_index(idx) -> HGIndex:
 
 
 def _check_lg_index(idx) -> LGIndex:
-    if not all(isinstance(v, (int, np.integer)) for v in idx):
-        raise ValueError(f"LG indices must be integers, got {tuple(idx)}")
-    idx = LGIndex(int(idx[0]), int(idx[1]))
+    idx = _integer_index(idx, LGIndex)
     if idx.p < 0:
         raise ValueError("radial index p must be nonnegative")
     if idx.order > MAX_ORDER:
@@ -137,36 +141,22 @@ def hermite_gauss_ladder(nmax: int, x, w0: float) -> np.ndarray:
     return out
 
 
-class _Blocks:
-    """Storage of both state types: ``blocks`` maps an order key to a read-only
-    complex array holding a nonzero entry.  A subclass extends :meth:`_adopt`
-    to carry its other fields and names itself in ``_noun`` for the errors."""
+class _Amplitudes:
+    """Rules both state types share: a finite norm summed once over the
+    ``blocks``, and scaling and pruning, each one :meth:`_map` of the
+    read-only amplitudes.  A subclass names itself in ``_noun`` for errors."""
 
-    __slots__ = ("blocks", "geometry", "_norm_sq")
+    __slots__ = ("geometry", "_norm_sq")
 
-    def _freeze(self) -> None:
-        """Make the blocks read-only; reject an overflowing norm, which makes every power nan."""
-        for block in self.blocks.values():
-            block.setflags(write=False)
+    def _check_norm(self) -> None:
+        """Reject a norm that is not finite, which makes every power nan."""
         self._norm_sq = None
         if not math.isfinite(self.norm_sq()):
             raise ValueError("state norm is not finite: amplitudes too large")
 
-    def _with_blocks(self, blocks):
-        """This state with the nonzero ``blocks``, made read-only; unvalidated."""
-        kept = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
-        for block in kept.values():
-            block.setflags(write=False)
-        return self._adopt(kept)
-
-    def _adopt(self, blocks):
-        """This state holding ``blocks`` as given: each already nonzero and read-only."""
-        out = object.__new__(type(self))
-        out.blocks, out.geometry, out._norm_sq = blocks, self.geometry, None
-        return out
-
     def norm_sq(self) -> float:
-        # Summed once: the blocks are read-only.
+        # Summed once, as the amplitudes are read-only, and block by block:
+        # one vdot over a vector of several orders rounds differently.
         if self._norm_sq is None:
             self._norm_sq = float(sum(np.vdot(block, block).real for block in self.blocks.values()))
         return self._norm_sq
@@ -178,91 +168,98 @@ class _Blocks:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex):
-        return self._with_blocks({key: block * factor for key, block in self.blocks.items()})
+        return self._map(lambda a: a * factor)
 
     def pruned(self, tol: float = 0.0):
         """Drop terms with |amplitude| <= tol (exact zeros by default)."""
-        return self._with_blocks(
-            {key: np.where(np.abs(block) > tol, block, 0j) for key, block in self.blocks.items()}
-        )
+        return self._map(lambda a: np.where(np.abs(a) > tol, a, 0j))
 
 
-class ModeExpansion(_Blocks):
-    """Finite complex expansion over the HG basis, stored per total order.
+class ModeExpansion(_Amplitudes):
+    """Finite complex expansion over the HG basis, held as one read-only
+    complex vector over a sorted tuple of total orders (:func:`_layout`):
+    order o takes o + 1 entries, entry n multiplying HG_{n, o-n}.  Readers
+    skip an order holding only zeros; ``blocks`` (a view of each order's
+    entries) and ``terms`` are built when read.  The squared norm is
+    reported by :meth:`norm_sq` and never silently renormalized."""
 
-    ``blocks`` maps a total order o to a read-only complex vector of length
-    o + 1 whose entry n multiplies HG_{n, o-n}; only blocks holding a
-    nonzero coefficient are kept.  ``terms`` is a read-only mapping derived
-    from the blocks, without exact zeros.  The squared norm is reported by
-    :meth:`norm_sq` and never silently renormalized.
-    """
-
-    __slots__ = ()
+    __slots__ = ("_layout", "_vector")
     _noun = "expansion"
 
     def __init__(self, terms, geometry: BeamGeometry):
-        self.blocks = {}
+        amps, orders = {}, set()
         for idx, amp in dict(terms).items():
-            # Validated before anything is allocated for it: a block holds
-            # at most MAX_ORDER + 1 entries.
-            idx, amp = _check_index(HGIndex(*idx)), complex(amp)
+            # Every index is checked before the vector is allocated.
+            idx, amp = _check_index(idx), complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude for {idx}")
             if amp != 0:
-                if idx.order not in self.blocks:
-                    self.blocks[idx.order] = np.zeros(idx.order + 1, complex)
-                self.blocks[idx.order][idx.n] = amp
-        self._freeze()
-        self.geometry = geometry
+                amps[idx.order * (idx.order + 1) // 2 + idx.n] = amp  # as _Layout.mode
+                orders.add(idx.order)
+        self.geometry, self._layout = geometry, _layout(tuple(sorted(orders)))
+        self._vector = np.zeros(len(self._layout.mode), complex)
+        self._vector[np.searchsorted(self._layout.mode, list(amps))] = list(amps.values())
+        self._vector.setflags(write=False)
+        self._check_norm()
+
+    def _with_vector(self, vector: np.ndarray, layout: _Layout | None = None) -> "ModeExpansion":
+        """An expansion in this geometry holding ``vector`` (made read-only) in
+        ``layout``, by default this one's; unvalidated."""
+        vector.setflags(write=False)
+        out = object.__new__(ModeExpansion)
+        out.geometry, out._layout = self.geometry, layout or self._layout
+        out._vector, out._norm_sq = vector, None
+        return out
+
+    def _with_blocks(self, blocks) -> "ModeExpansion":
+        """An expansion in this geometry over per-order ``blocks``, in any key order; unvalidated."""
+        layout = _layout(tuple(sorted(blocks)))
+        vector = np.concatenate([np.zeros(0, complex), *(blocks[o] for o in layout.orders)])
+        return self._with_vector(vector, layout)
+
+    def _map(self, f) -> "ModeExpansion":
+        return self._with_vector(f(self._vector))
+
+    @property
+    def blocks(self) -> Mapping[int, np.ndarray]:
+        """Read-only mapping of each order holding a nonzero coefficient to a read-only view of it."""
+        orders, starts = self._layout.orders, self._layout.starts
+        occupied = np.logical_or.reduceat(self._vector != 0, starts).tolist()
+        return MappingProxyType({
+            o: self._vector[s:s + o + 1] for o, s, keep in zip(orders, starts.tolist(), occupied) if keep
+        })
 
     @property
     def terms(self) -> Mapping[HGIndex, complex]:
         """Read-only mapping of the nonzero coefficients."""
-        return MappingProxyType({
-            HGIndex(n, o - n): complex(block[n])
-            for o, block in self.blocks.items()
-            for n in np.flatnonzero(block).tolist()
-        })
+        k = np.flatnonzero(self._vector)
+        n = self._layout.n[k]
+        return MappingProxyType(dict(zip(
+            map(HGIndex, n.tolist(), (n + self._layout.l[k]).tolist()), self._vector[k].tolist()
+        )))
 
     def coeff(self, idx) -> complex:
-        idx = HGIndex(*idx)
-        block = self.blocks.get(idx.order)
-        if block is None or min(idx) < 0:
+        idx, orders = _integer_index(idx), self._layout.orders
+        if min(idx) < 0 or idx.order not in orders:
             return 0j
-        return complex(block[idx.n])
+        return complex(self._vector[self._layout.starts[orders.index(idx.order)] + idx.n])
 
     def max_order(self) -> int:
         return max(self.blocks, default=0)
 
-    def _from_rows(self, rows: np.ndarray) -> list["ModeExpansion"]:
-        """One state over this expansion's orders per row of ``rows``, HG
-        coefficients laid out as :func:`_to_oam` lays out the blocks.  The
-        blocks are read-only views of ``rows``, kept where nonzero."""
-        rows.setflags(write=False)
-        if not self.blocks:
-            return [self._adopt({}) for _row in rows]
-        starts = _layout(tuple(self.blocks)).starts
-        nonzero = np.logical_or.reduceat(rows != 0, starts, axis=1).tolist()
-        return [
-            self._adopt({
-                o: row[s:s + o + 1]
-                for o, s, keep in zip(self.blocks, starts.tolist(), flags) if keep
-            })
-            for row, flags in zip(rows, nonzero)
-        ]
-
     def inner(self, other: "ModeExpansion") -> complex:
         """Hilbert-space inner product <self|other> (conjugate on self)."""
-        return complex(sum(
-            (np.vdot(block, other.blocks[o]) for o, block in self.blocks.items() if o in other.blocks),
-            0j,
-        ))
+        _, mine, theirs = np.intersect1d(
+            self._layout.mode, other._layout.mode, assume_unique=True, return_indices=True
+        )
+        return complex(np.vdot(self._vector[mine], other._vector[theirs]))
 
     def __add__(self, other: "ModeExpansion") -> "ModeExpansion":
-        out = dict(self.blocks)
-        for o, block in other.blocks.items():
-            out[o] = out[o] + block if o in out else block
-        return self._with_blocks(out)
+        layout = _layout(tuple(sorted({*self._layout.orders, *other._layout.orders})))
+        out = np.zeros(len(layout.mode), complex)
+        out[np.searchsorted(layout.mode, self._layout.mode)] = self._vector
+        out[np.searchsorted(layout.mode, other._layout.mode)] += other._vector
+        return self._with_vector(out, layout)
 
     def __sub__(self, other: "ModeExpansion") -> "ModeExpansion":
         return self + other.scaled(-1.0)
@@ -331,17 +328,6 @@ class GridField:
         return complex(np.sum(np.conj(self.values) * other.values) * self.spec.dx**2)
 
 
-def _coeff_matrix(expansion: ModeExpansion) -> np.ndarray:
-    """Nonempty expansion as the matrix C[m, n] over its occupied n and m ranges."""
-    occupied = [(o, np.flatnonzero(block), block) for o, block in expansion.blocks.items()]
-    nmax = max(n[-1] for _o, n, _block in occupied)
-    mmax = max(o - n[0] for o, n, _block in occupied)
-    coeff = np.zeros((mmax + 1, nmax + 1), dtype=complex)
-    for o, n, block in occupied:
-        coeff[o - n, n] = block[n]
-    return coeff
-
-
 def sample_mode(expansion: ModeExpansion, spec: GridSpec) -> GridField:
     """The expansion rendered on a grid by :func:`evaluate_expansion`."""
     axis = spec.axis()
@@ -357,13 +343,16 @@ def evaluate_expansion(expansion: ModeExpansion, xs, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1:
         raise ValueError("evaluate_expansion takes 1-D x and y axes")
-    if not expansion.blocks:
+    k = np.flatnonzero(expansion._vector)
+    if not k.size:
         return np.zeros((len(ys), len(xs)), dtype=complex)
+    # C over the occupied n and m ranges only.
+    n = expansion._layout.n[k]
+    m = n + expansion._layout.l[k]
+    coeff = np.zeros((m.max() + 1, n.max() + 1), dtype=complex)
+    coeff[m, n] = expansion._vector[k]
     w0 = expansion.geometry.w0
-    coeff = _coeff_matrix(expansion)
-    hx = hermite_gauss_ladder(coeff.shape[1] - 1, xs, w0)
-    hy = hermite_gauss_ladder(coeff.shape[0] - 1, ys, w0)
-    return hy.T @ coeff @ hx
+    return hermite_gauss_ladder(m.max(), ys, w0).T @ coeff @ hermite_gauss_ladder(n.max(), xs, w0)
 
 
 def sample_lg(idx: LGIndex, geom: BeamGeometry, spec: GridSpec) -> GridField:
@@ -430,15 +419,14 @@ def decompose_grid(
     h = hermite_gauss_ladder(max_order, field.spec.axis(), geom.w0)
     # c_nm = sum_ij h[m, i] h[n, j] F[i, j] dx^2, batched as H F H^T.
     coeffs = (h @ field.values @ h.T) * field.spec.dx**2
-    out = ModeExpansion({}, geom)._with_blocks({
-        o: coeffs[o - np.arange(o + 1), np.arange(o + 1)] for o in range(max_order + 1)
-    })
+    layout = _layout(tuple(range(max_order + 1)))
+    out = ModeExpansion({}, geom)._with_vector(coeffs[layout.n + layout.l, layout.n], layout)
     return out, field.norm_sq() - out.norm_sq()
 
 
 def parity_2d(idx: HGIndex) -> Parity:
     """Parity under the point inversion E(x, y) -> E(-x, -y)."""
-    idx = HGIndex(*idx)
+    idx = _check_index(idx)
     return "even" if (idx.n + idx.m) % 2 == 0 else "odd"
 
 
@@ -497,15 +485,27 @@ def _chunk_basis(chunk: int) -> np.ndarray:
     return stack
 
 
-class _Layout(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Layout:
     """Where the amplitudes of a tuple of orders sit, in order of the tuple."""
 
+    orders: tuple[int, ...]
     l: np.ndarray  # OAM of each amplitude: o, o-2, ..., -o per order
+    n: np.ndarray  # place of each amplitude in its order: 0, 1, ..., o
+    mode: np.ndarray  # o (o + 1) / 2 + n: one number per HG mode, rising along sorted orders
     starts: np.ndarray  # index of each order's first amplitude
-    phases: np.ndarray  # i^n of each amplitude, n its place in its block
+    phases: np.ndarray  # i^n of each amplitude
     slots: np.ndarray  # place of each amplitude in the padded chunk stacks
-    chunks: tuple  # (bases, places) per chunk present: see _layout
+    spans: tuple  # (chunk, first, stop, size, places) per chunk present: see _layout
     padded: int  # length of the padded chunk stacks
+
+    @functools.cached_property
+    def chunks(self) -> tuple:
+        """(bases, places) per chunk present, cut from :func:`_chunk_basis` on
+        the first product: a state that is never transferred builds no basis."""
+        return tuple(
+            (_chunk_basis(c)[first:stop, :size, :size], places) for c, first, stop, size, places in self.spans
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -514,35 +514,32 @@ def _layout(orders: tuple[int, ...]) -> _Layout:
 
     Of chunk c, only the entries [first, stop) of :func:`_chunk_basis` (c)
     that hold the orders present are multiplied, each cut to size x size for
-    the largest of them, as one read-only view ``bases``; their amplitudes
-    fill the (stop - first) * size ``places`` of the padded stacks,
-    zero-padded.  Held for the most recent tuples only, as it costs a few
-    arrays the length of the amplitudes.
+    the largest of them (a ``span``); their amplitudes fill the
+    (stop - first) * size ``places`` of the padded stacks, zero-padded.
+    Held for the most recent tuples only, as it costs a few arrays the
+    length of the amplitudes.
     """
     present: dict[int, list[int]] = {}
     for o in orders:
         present.setdefault(o // _CHUNK, []).append(o % _CHUNK)
-    chunks, place_of_order, offset = [], {}, 0
+    spans, place_of_order, offset = [], {}, 0
     for chunk, js in sorted(present.items()):
         first, stop = min(js), max(js) + 1
         size = chunk * _CHUNK + stop
         places = slice(offset, offset + (stop - first) * size)
-        chunks.append((_chunk_basis(chunk)[first:stop, :size, :size], places))
+        spans.append((chunk, first, stop, size, places))
         for j in js:
             place_of_order[chunk * _CHUNK + j] = offset + (j - first) * size
         offset = places.stop
-    n = [np.arange(o + 1) for o in orders]
-    layout = _Layout(
-        np.concatenate([np.zeros(0, int), *(o - 2 * k for o, k in zip(orders, n))]),
-        np.cumsum([0, *(o + 1 for o in orders)])[:-1],
-        np.concatenate([np.zeros(0, complex), *(_I_POWERS[k % 4] for k in n)]),
-        np.concatenate([np.zeros(0, int), *(place_of_order[o] + k for o, k in zip(orders, n))]),
-        tuple(chunks),
-        offset,
-    )
-    for array in layout[:4]:
+    sizes = [o + 1 for o in orders]
+    starts = np.cumsum([0, *sizes])[:-1]
+    order = np.repeat(np.array(orders, dtype=int), sizes)
+    n = np.arange(len(order)) - np.repeat(starts, sizes)
+    slots = np.repeat(np.array([place_of_order[o] for o in orders], dtype=int), sizes) + n
+    arrays = (order - 2 * n, n, order * (order + 1) // 2 + n, starts, _I_POWERS[n % 4], slots)
+    for array in arrays:
         array.setflags(write=False)
-    return layout
+    return _Layout(orders, *arrays, tuple(spans), offset)
 
 
 def rotation_matrix(order: int, angle: float) -> np.ndarray:
@@ -576,8 +573,7 @@ def _chunk_products(layout: _Layout, x: np.ndarray, transpose: bool) -> np.ndarr
     """
     rows = np.atleast_2d(x)
     padded = np.zeros((len(rows), layout.padded), complex)
-    for row, amplitudes in zip(padded, rows):
-        row.put(layout.slots, amplitudes)
+    padded[:, layout.slots] = rows
     out = np.empty_like(padded)
     for bases, places in layout.chunks:
         shape = (len(rows), *bases.shape[:2], 2)
@@ -589,24 +585,21 @@ def _chunk_products(layout: _Layout, x: np.ndarray, transpose: bool) -> np.ndarr
     return out.take(layout.slots, axis=1).reshape(x.shape)
 
 
-def _to_oam(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """LG amplitudes of per-order blocks, with their l values.
+def _to_oam(layout: _Layout, c: np.ndarray) -> np.ndarray:
+    """LG amplitudes of the HG coefficients ``c`` laid out by ``layout``.
 
-    Each block c of order o becomes w = V^dagger c = R^T (i^-n c) over the LG
-    modes of that order (:func:`_lg_basis`); the amplitudes of all blocks are
-    concatenated in the blocks' key order.  Every rotation and Sagnac port is
-    diagonal in this basis.
+    The coefficients c of each order o become w = V^dagger c = R^T (i^-n c)
+    over the LG modes of that order (:func:`_lg_basis`), in the same places:
+    the amplitude at place k has OAM ``layout.l[k]``.  Every rotation and
+    Sagnac port is diagonal in this basis.
     """
-    layout = _layout(tuple(blocks))
-    c = np.concatenate([np.zeros(0, complex), *blocks.values()]) * layout.phases.conj()
-    return _chunk_products(layout, c, transpose=True), layout.l
+    return _chunk_products(layout, c * layout.phases.conj(), transpose=True)
 
 
-def _from_oam(orders, w: np.ndarray) -> np.ndarray:
+def _from_oam(layout: _Layout, w: np.ndarray) -> np.ndarray:
     """HG coefficients V w = i^n (R w) of LG amplitudes laid out by
-    :func:`_to_oam` for ``orders``, for each row of ``w`` at once: the
-    result has the shape of w and the layout of the concatenated blocks."""
-    layout = _layout(tuple(orders))
+    ``layout``, for each row of ``w`` at once: the result has the shape and
+    layout of w."""
     return _chunk_products(layout, w, transpose=False) * layout.phases
 
 
@@ -615,20 +608,18 @@ def rotate_exact(expansion: ModeExpansion, angle: float) -> ModeExpansion:
 
     The LG amplitudes are multiplied by exp(-i l angle), which is unitary to
     machine precision at every order up to MAX_ORDER.  Where angle % 2pi is
-    exactly 0 the blocks come back unchanged, and where it is exactly pi each
+    exactly 0 the expansion comes back unchanged, and where it is exactly pi each
     coefficient takes the exact parity factor (-1)^(n+m).
     """
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
     reduced = angle % (2.0 * math.pi)
+    c, layout = expansion._vector, expansion._layout
     if reduced == 0.0:
-        return expansion._with_blocks(expansion.blocks)
+        return expansion
     if reduced == math.pi:
-        return expansion._with_blocks(
-            {o: -block if o % 2 else block for o, block in expansion.blocks.items()}
-        )
-    w, l = _to_oam(expansion.blocks)
-    return expansion._from_rows(_from_oam(expansion.blocks, (w * np.exp(-1j * l * angle))[None]))[0]
+        return expansion._with_vector(np.where(layout.l % 2 == 1, -c, c))
+    return expansion._with_vector(_from_oam(layout, _to_oam(layout, c) * np.exp(-1j * layout.l * angle)))
 
 
 def rotate_field_bilinear(field: GridField, angle: float) -> GridField:

@@ -5,8 +5,8 @@ All states live in the post-selected two-photon subspace; probabilities
 are conditional on a pair being present.  The spatial part of a biphoton
 is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
 ``(o1 + 1, o2 + 1)`` and entry ``[n1, n2]`` multiplies HG_{n1, o1-n1} x
-HG_{n2, o2-n2}; only blocks holding a nonzero term are kept, by the
-block core that :class:`~sagnacsim.modes.ModeExpansion` shares.  Both
+HG_{n2, o2-n2}; only blocks holding a nonzero term are kept, under the
+norm and scaling rules :class:`~sagnacsim.modes.ModeExpansion` shares.  Both
 Sagnac ports are diagonal over LG modes, so sorting takes each block C to
 its LG amplitudes V1^H C V2* with one product per photon order and reads
 the four branch powers off them; a branch's HG blocks are built only
@@ -42,8 +42,9 @@ from .modes import (
     BeamGeometry,
     HGIndex,
     ModeExpansion,
-    _Blocks,
+    _Amplitudes,
     _check_index,
+    _integer_index,
     _lg_basis,
     rotation_matrix,  # no caller; the benchmark's tracer wraps quantum.rotation_matrix
 )
@@ -70,14 +71,14 @@ DEFAULT_GEOMETRY = BeamGeometry(1.0)
 MAX_BIPHOTON_ENTRIES = 2**24
 
 
-class BiphotonExpansion(_Blocks):
+class BiphotonExpansion(_Amplitudes):
     """Finite expansion over ordered HG x HG products plus polarization.
 
     ``blocks`` maps ``(o1, o2)`` to a read-only coefficient block (layout in
     the module docstring); ``terms`` is derived from it.
     """
 
-    __slots__ = ("polarization",)
+    __slots__ = ("blocks", "polarization")
     _noun = "biphoton state"
 
     def __init__(self, terms, polarization=None, geometry: BeamGeometry = DEFAULT_GEOMETRY):
@@ -100,7 +101,9 @@ class BiphotonExpansion(_Blocks):
             if (a.order, b.order) not in self.blocks:
                 self.blocks[a.order, b.order] = np.zeros((a.order + 1, b.order + 1), complex)
             self.blocks[a.order, b.order][a.n, b.n] = amp
-        self._freeze()
+        for block in self.blocks.values():
+            block.setflags(write=False)
+        self._check_norm()
         pol = dict(polarization) if polarization is not None else bell_polarization()
         for k in pol:
             if k not in POLARIZATION_KEYS:
@@ -108,10 +111,17 @@ class BiphotonExpansion(_Blocks):
         self.polarization = {k: complex(v) for k, v in pol.items()}
         self.geometry = geometry
 
-    def _adopt(self, blocks) -> "BiphotonExpansion":
-        out = super()._adopt(blocks)
-        out.polarization = dict(self.polarization)
+    def _with_blocks(self, blocks) -> "BiphotonExpansion":
+        """This state with the nonzero ``blocks``, made read-only; unvalidated."""
+        out = object.__new__(BiphotonExpansion)
+        out.blocks = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
+        for block in out.blocks.values():
+            block.setflags(write=False)
+        out.geometry, out.polarization, out._norm_sq = self.geometry, dict(self.polarization), None
         return out
+
+    def _map(self, f) -> "BiphotonExpansion":
+        return self._with_blocks({key: f(block) for key, block in self.blocks.items()})
 
     @property
     def terms(self) -> Mapping[tuple[HGIndex, HGIndex], complex]:
@@ -123,7 +133,7 @@ class BiphotonExpansion(_Blocks):
         })
 
     def coeff(self, a, b) -> complex:
-        a, b = HGIndex(*a), HGIndex(*b)
+        a, b = _integer_index(a), _integer_index(b)
         block = self.blocks.get((a.order, b.order))
         if block is None or min(a.n, a.m, b.n, b.m) < 0:
             return 0j

@@ -241,6 +241,11 @@ def test_cascade_depth_bounds():
         I.cascade_build(6)
 
 
+def test_cascade_build_refuses_a_non_integer_depth():
+    with pytest.raises(ValueError, match=r"^cascade depth must be an integer, got 2\.5$"):
+        I.cascade_build(2.5)
+
+
 # ---------------------------------------------------------------------------
 # per-term reference: the dict code the OAM-basis operators replaced
 # ---------------------------------------------------------------------------
@@ -351,6 +356,23 @@ def test_transfer_of_full_expansions_matches_dense_port_operators(max_order):
         for port, want in ((pair.port_a, (plus + minus) / 2), (pair.port_b, (plus - minus) / 2)):
             assert np.max(np.abs(port.blocks.get(o, 0j) - want)) <= 1e-13
     assert abs(sum(I.port_powers(pair)) - 1.0) <= 1e-12
+
+
+def test_port_states_keep_nonzero_blocks_as_read_only_views():
+    # At theta = pi/2 (Omega = 0, phi = 0) port A gets the input back and
+    # port B exact zeros at every order it holds.
+    e = M.ModeExpansion({(0, 0): 1.0, (1, 2): 2.0, (40, 0): 1j}, GEOM)
+    pair = I.sagnac_transfer(e, I.SagnacStage(math.pi / 2))
+    port_a, port_b = pair.port_a, pair.port_b
+    assert list(port_a.blocks) == [0, 3, 40] and dict(port_b.blocks) == {}
+    assert dict(port_b.terms) == {} and port_b.max_order() == 0 and port_b.norm_sq() == 0.0
+    assert port_b.coeff((40, 0)) == 0 and port_a.max_order() == 40
+    assert max_diff(port_a.terms, e.terms) <= 1e-14
+    for block in port_a.blocks.values():
+        assert np.shares_memory(block, port_b._vector.base) and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 1.0
+    assert port_a.norm_sq() == pytest.approx(6.0, rel=1e-14)
 
 
 def test_order_170_transfer_holds_bounded_caches():
@@ -635,8 +657,7 @@ def test_level_plan_routes_random_trees_like_the_per_node_walk(text, terms, ls):
     want = reference_cascade(root, e)
     assert [leaf.label for leaf in got] == [label for label, _, _ in want]
     assert max(abs(leaf.power - power) for leaf, (_, power, _) in zip(got, want)) <= 1e-12
-    w, l = M._to_oam(e.blocks)
-    walked = per_node_rows(root, w, l)
+    walked = per_node_rows(root, M._to_oam(e._layout, e._vector), e._layout.l)
     assert all(np.array_equal(leaf._row, row) for leaf, row in zip(got, walked))
     # Every l in one pass: each (leaf, l) power has the bits of a one-l route.
     labels, powers = I._oam_leaf_powers(root, ls)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,15 @@ def test_parity_2d(idx, want):
     assert M.parity_2d(M.HGIndex(*idx)) == want
 
 
+@pytest.mark.parametrize(
+    "idx,message",
+    [((1.5, 0), "HG indices must be integers, got (1.5, 0)"), ((-1, 0), "HG indices must be nonnegative")],
+)
+def test_parity_2d_refuses_a_bad_index(idx, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        M.parity_2d(idx)
+
+
 # ---------------------------------------------------------------------------
 # rotation
 # ---------------------------------------------------------------------------
@@ -417,22 +427,22 @@ PROPERTY = settings(max_examples=40, deadline=None)
 @PROPERTY
 @given(_unit_states)
 def test_oam_round_trip_returns_the_blocks(e):
-    back = M._from_oam(e.blocks, M._to_oam(e.blocks)[0])
-    assert np.max(np.abs(back - np.concatenate(list(e.blocks.values())))) <= 1e-12
+    back = M._from_oam(e._layout, M._to_oam(e._layout, e._vector))
+    assert np.max(np.abs(back - e._vector)) <= 1e-12
 
 
 @PROPERTY
 @given(_unit_states, st.lists(_angles, min_size=1, max_size=5))
 def test_oam_round_trip_of_stacked_states(e, phases):
     # The same state once per row, each time with another global phase.
-    w, _l = M._to_oam(e.blocks)
-    c = np.concatenate(list(e.blocks.values()))
+    c = e._vector
+    w = M._to_oam(e._layout, c)
     factors = np.exp(1j * np.array(phases))
-    stacked = M._from_oam(e.blocks, np.outer(factors, w))
+    stacked = M._from_oam(e._layout, np.outer(factors, w))
     assert stacked.shape == (len(phases), len(c))
     assert np.max(np.abs(stacked - np.outer(factors, c))) <= 1e-12
     for k, factor in enumerate(factors):
-        assert np.max(np.abs(stacked[k] - M._from_oam(e.blocks, factor * w))) <= 1e-12
+        assert np.max(np.abs(stacked[k] - M._from_oam(e._layout, factor * w))) <= 1e-12
 
 
 # Sparse sets of orders that span several chunks of the stacked route and
@@ -442,6 +452,67 @@ _order_sets = st.sets(st.integers(1, M.MAX_ORDER - 1), max_size=8).flatmap(
 )
 
 
+# The same with a subset of the orders (never all of them) left all-zero.
+_orders_some_zero = _order_sets.flatmap(
+    lambda orders: st.tuples(st.just(orders), st.sets(st.sampled_from(orders), max_size=len(orders) - 1))
+)
+
+
+def flat_and_reference(orders, zeroed, rng):
+    """An expansion over ``orders`` whose ``zeroed`` orders it holds as
+    all-zero (by pruning), built from terms in a shuffled key order, and the
+    dict of per-order blocks it must read as."""
+    blocks = {
+        o: (1e-9 if o in zeroed else 1.0) * (1 + rng.random(o + 1)) * np.exp(2j * np.pi * rng.random(o + 1))
+        for o in orders
+    }
+    terms = [((n, o - n), complex(a)) for o, block in blocks.items() for n, a in enumerate(block)]
+    e = M.ModeExpansion(dict(terms[k] for k in rng.permutation(len(terms))), GEOM).pruned(1e-6)
+    assert e._layout.orders == tuple(sorted(orders))
+    return e, {o: block for o, block in blocks.items() if o not in zeroed}
+
+
+def assert_reads_as(e, blocks):
+    """Every reader of ``e`` against per-order ``blocks``, all-zero ones dropped."""
+    blocks = {o: block for o, block in sorted(blocks.items()) if np.any(block)}
+    assert list(e.blocks) == list(blocks)
+    assert all(np.array_equal(e.blocks[o], block) for o, block in blocks.items())
+    assert dict(e.terms) == {
+        M.HGIndex(n, o - n): a for o, block in blocks.items() for n, a in enumerate(block.tolist()) if a != 0
+    }
+    assert e.max_order() == max(blocks, default=0)
+    assert e.norm_sq() == sum(np.vdot(block, block).real for block in blocks.values())
+
+
+@PROPERTY
+@given(_orders_some_zero, _orders_some_zero, st.integers(0, 2**32 - 1))
+def test_flat_state_reads_as_its_blocks(first, second, seed):
+    rng = np.random.default_rng(seed)
+    e, want = flat_and_reference(*first, rng)
+    f, other = flat_and_reference(*second, rng)
+    assert_reads_as(e, want)
+    for o in (*first[0], M.MAX_ORDER + 1):
+        for n in range(o + 1):
+            assert e.coeff((n, o - n)) == (want[o][n] if o in want else 0)
+    assert e.coeff((-1, 2)) == 0
+    some = next(iter(want))
+    with pytest.raises(ValueError):
+        e.blocks[some][0] = 1.0
+    with pytest.raises(TypeError):
+        e.blocks[some] = want[some]
+    shared = [o for o in sorted(want) if o in other]
+    assert abs(e.inner(f) - sum((np.vdot(want[o], other[o]) for o in shared), 0j)) <= 1e-13 * math.sqrt(
+        e.norm_sq() * f.norm_sq()
+    )
+    assert_reads_as(e + f, {o: want.get(o, 0) + other.get(o, 0) for o in {*want, *other}})
+    assert_reads_as(e - f, {o: want.get(o, 0) + other.get(o, 0) * -1.0 for o in {*want, *other}})
+    factor = complex(*rng.normal(size=2))
+    assert_reads_as(e.scaled(factor), {o: block * factor for o, block in want.items()})
+    assert_reads_as(e.pruned(1.5), {o: np.where(np.abs(block) > 1.5, block, 0j) for o, block in want.items()})
+    scale = 1.0 / math.sqrt(e.norm_sq())
+    assert_reads_as(e.normalized(), {o: block * scale for o, block in want.items()})
+
+
 @PROPERTY
 @given(_order_sets, st.integers(0, 2**32 - 1))
 def test_chunked_oam_route_matches_the_per_order_bases(orders, seed):
@@ -449,25 +520,14 @@ def test_chunked_oam_route_matches_the_per_order_bases(orders, seed):
     blocks = {o: rng.normal(size=o + 1) + 1j * rng.normal(size=o + 1) for o in orders}
     scale = 1.0 / math.sqrt(sum(np.vdot(b, b).real for b in blocks.values()))
     blocks = {o: b * scale for o, b in blocks.items()}
-    w, l = M._to_oam(blocks)
-    want = np.concatenate([M._lg_basis(o).conj().T @ c for o, c in blocks.items()])
+    # The state holds its orders sorted, whatever the key order it was given.
+    e = M.ModeExpansion({}, GEOM)._with_blocks(blocks)
+    w = M._to_oam(e._layout, e._vector)
+    want = np.concatenate([M._lg_basis(o).conj().T @ blocks[o] for o in sorted(orders)])
     assert np.max(np.abs(w - want)) <= 1e-14
-    assert np.array_equal(l, np.concatenate([np.arange(o, -o - 1, -2) for o in orders]))
-    back = M._from_oam(blocks, w)
-    assert np.max(np.abs(back - np.concatenate(list(blocks.values())))) <= 1e-13
-
-
-def test_states_from_rows_keep_nonzero_blocks_as_read_only_views():
-    e = M.ModeExpansion({(0, 0): 1.0, (1, 2): 2.0, (40, 0): 1j}, GEOM)
-    rows = np.zeros((2, 1 + 4 + 41), complex)
-    rows[0, 0], rows[0, 3], rows[1, 5 + 40] = 1.0, 2.0, 3.0
-    first, second = e._from_rows(rows)
-    assert list(first.blocks) == [0, 3] and list(second.blocks) == [40]
-    assert first.terms == {M.HGIndex(0, 0): 1.0, M.HGIndex(2, 1): 2.0}
-    assert second.terms == {M.HGIndex(40, 0): 3.0}
-    for block in [*first.blocks.values(), *second.blocks.values()]:
-        assert block.base is rows and not block.flags.writeable
-    assert first.norm_sq() == 5.0 and second.norm_sq() == 9.0
+    assert np.array_equal(e._layout.l, np.concatenate([np.arange(o, -o - 1, -2) for o in sorted(orders)]))
+    back = M._from_oam(e._layout, w)
+    assert np.max(np.abs(back - np.concatenate([blocks[o] for o in sorted(orders)]))) <= 1e-13
 
 
 @PROPERTY
@@ -555,6 +615,13 @@ def test_expansion_terms_are_read_only_and_drop_zeros():
     cancelled = e - e
     assert cancelled.blocks == {} and dict(cancelled.terms) == {}
     assert M.rotate_exact(e, 0.4).pruned(0.1).blocks.keys() == {1}
+
+
+@pytest.mark.parametrize("idx", [(1.0, 0), (0.0, 0), (0, np.float64(2.0))])
+def test_expansion_coeff_refuses_a_non_integer_index(idx):
+    e = M.ModeExpansion({(1, 0): 1.0}, GEOM)
+    with pytest.raises(ValueError, match=re.escape(f"HG indices must be integers, got {idx}")):
+        e.coeff(idx)
 
 
 def test_expansion_rejects_bad_index_before_allocating():

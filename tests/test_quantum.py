@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -284,6 +285,11 @@ def test_biphoton_terms_are_read_only_and_drop_zeros():
     assert b.coeff((0, 1), (0, 0)) == 0
     assert b.coeff((-1, 2), (0, 0)) == 0
     assert list(b.blocks) == [(1, 0)]
+
+
+def test_biphoton_coeff_refuses_a_non_integer_index():
+    with pytest.raises(ValueError, match=re.escape("HG indices must be integers, got (0.5, 0)")):
+        Q.spdc_hg00().coeff((0.5, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -75,15 +75,6 @@ def parse_number(text: str, kind=float, expected: str | None = None):
 # Expansion text format
 # ---------------------------------------------------------------------------
 
-def dump_expansion(e: ModeExpansion) -> str:
-    """Serialize an expansion: header ``hg-expansion v1 w0=<meters>``,
-    one ``n m re im`` line per term, sorted by index."""
-    lines = [f"hg-expansion v1 w0={fmt_float(e.geometry.w0)}"]
-    for idx, amp in sorted(e.terms.items()):
-        lines.append(f"{idx.n} {idx.m} {fmt_float(amp.real)} {fmt_float(amp.imag)}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_expansion(text: str) -> ModeExpansion:
     """Parse the expansion text format; ``#`` comments allowed anywhere."""
     geometry = None
@@ -109,11 +100,6 @@ def parse_expansion(text: str) -> ModeExpansion:
 def read_expansion(path) -> ModeExpansion:
     with open(path, "r", encoding="ascii") as fh:
         return parse_expansion(fh.read())
-
-
-def write_expansion(path, e: ModeExpansion) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_expansion(e))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ parity labels, and transverse rotation operators complete the toolkit.
 Rotations, and the Sagnac stages built on them, are diagonal multiplies
 between :func:`_to_oam` and :func:`_from_oam`, which carry the vector to
 the LG amplitudes of each order, in the same places, and back.  The LG
-basis of an order is real up to the phases i^n, so both run as one real
-batched product per chunk of consecutive orders (:func:`_chunk_basis`) on
-the amplitudes viewed as float pairs.
+basis of an order is V = diag(i^n) R with R real, so both run as one real
+batched product per chunk of consecutive orders on the amplitudes viewed as
+float pairs.  R is held only in those chunks (:func:`_chunk_basis`).
 """
 
 from __future__ import annotations
@@ -382,11 +382,8 @@ def lg_to_hg(idx: LGIndex, geom: BeamGeometry) -> ModeExpansion:
     """
     idx = _check_lg_index(idx)
     order = idx.order
-    # Column (order + l)/2 of the rotation by -pi/4, V diag(exp(i l pi/4)) V^dagger,
-    # in O(order^2); the phases of V's columns cancel.
-    basis = _lg_basis(order)
-    l = np.arange(order, -order - 1, -2)
-    column = ((basis * np.exp(1j * l * math.pi / 4)) @ basis[(order + idx.l) // 2].conj()).real
+    # Column (order + l)/2 of the rotation by -pi/4, in O(order^2).
+    column = _rotation_columns(order, -math.pi / 4, (order + idx.l) // 2)
     amps = column * _I_POWERS[(np.arange(order + 1) - abs(idx.l)) % 4]
     return ModeExpansion({}, geom)._with_blocks({order: amps})
 
@@ -435,33 +432,22 @@ def parity_2d(idx: HGIndex) -> Parity:
 # ---------------------------------------------------------------------------
 
 def _real_lg_basis(order: int) -> np.ndarray:
-    """Real orthogonal R with V = diag(i^n) R the LG basis of :func:`_lg_basis`.
+    """Real orthogonal R of one order; column k of V = diag(i^n) R is the LG mode with l = order - 2k.
 
     The rotation generator a_x+ a_y - a_y+ a_x is tridiagonal on the
     HG_{n, order-n} block; conjugated by diag(i^n) it becomes the real
     symmetric matrix with off-diagonals sqrt((n+1)(order-n)), whose
     eigenvalues are exactly -order, -order+2, ..., order = -l.  Column
-    signs are whatever LAPACK's ``eigh`` returns.
+    signs are whatever LAPACK's ``eigh`` returns.  :func:`_chunk_basis` calls it once per order.
     """
     n = np.arange(order)
     off = np.sqrt((n + 1.0) * (order - n))
     return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
 
 
-@functools.lru_cache(maxsize=None)
-def _lg_basis(order: int) -> np.ndarray:
-    """Unitary whose column k is an LG mode of this order with l = order - 2k.
-
-    It is diag(i^n) R with R from :func:`_real_lg_basis`; the biphoton sort
-    and :func:`lg_to_hg` use it as a dense complex matrix, while
-    :func:`_to_oam` and :func:`_from_oam` apply R from the chunks of
-    :func:`_chunk_basis` and the phases i^n apart.  Read-only, as it is
-    shared.
-    """
-    basis = _I_POWERS[np.arange(order + 1) % 4, None] * _real_lg_basis(order)
-    basis.setflags(write=False)
-    return basis
-
+# i^n for n = 0..MAX_ORDER; the phases of V = diag(i^n) R at any order are a prefix.
+_PHASES = _I_POWERS[np.arange(MAX_ORDER + 1) % 4]
+_PHASES.setflags(write=False)
 
 # Consecutive orders whose real LG bases share one zero-padded stack.
 _CHUNK = 8
@@ -483,6 +469,21 @@ def _chunk_basis(chunk: int) -> np.ndarray:
         stack[j, :o + 1, :o + 1] = _real_lg_basis(o)
     stack.setflags(write=False)
     return stack
+
+
+@functools.lru_cache(maxsize=None)
+def _order_basis(order: int) -> np.ndarray:
+    """R of one order: a read-only view into its :func:`_chunk_basis` stack, holding no memory of its own."""
+    return _chunk_basis(order // _CHUNK)[order % _CHUNK, :order + 1, :order + 1]
+
+
+def _rotation_columns(order: int, angle: float, columns: int | slice) -> np.ndarray:
+    """``columns`` (an index or a slice) of V diag(exp(-i l angle)) V^dagger, the
+    rotation by ``angle`` on one order: entry (a, b) is Re(i^(a-b) sum_j R[a, j]
+    R[b, j] exp(-i l_j angle)), so the signs ``eigh`` gives R's columns cancel."""
+    basis, n = _order_basis(order), np.arange(order + 1)
+    rotated = (basis * np.exp(-1j * (order - 2 * n) * angle)) @ basis[columns].T
+    return (rotated * _I_POWERS[np.subtract.outer(n, n[columns]) % 4]).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,7 +537,7 @@ def _layout(orders: tuple[int, ...]) -> _Layout:
     order = np.repeat(np.array(orders, dtype=int), sizes)
     n = np.arange(len(order)) - np.repeat(starts, sizes)
     slots = np.repeat(np.array([place_of_order[o] for o in orders], dtype=int), sizes) + n
-    arrays = (order - 2 * n, n, order * (order + 1) // 2 + n, starts, _I_POWERS[n % 4], slots)
+    arrays = (order - 2 * n, n, order * (order + 1) // 2 + n, starts, _PHASES[n], slots)
     for array in arrays:
         array.setflags(write=False)
     return _Layout(orders, *arrays, tuple(spans), offset)
@@ -549,19 +550,16 @@ def rotation_matrix(order: int, angle: float) -> np.ndarray:
     to; no library route builds it.
 
     Basis ordering is n = 0..order (so column n acts on HG_{n, order-n}).
-    Built as V diag(exp(-i l angle)) V^dagger from the cached per-order LG
-    basis V (see :func:`_lg_basis`), so it does not depend on the
-    eigenvector phases and is unitary to ~1e-15 at every order up to
-    MAX_ORDER.  HG_10 goes to cos(angle) HG_10 + sin(angle) HG_01, i.e. for
-    order 1 the matrix on (c_01, c_10) is [[cos, sin], [-sin, cos]].
+    Built as V diag(exp(-i l angle)) V^dagger (:func:`_rotation_columns`), so
+    it does not depend on the eigenvector signs and is unitary to ~1e-15 at
+    every order up to MAX_ORDER.  HG_10 goes to cos(angle) HG_10 + sin(angle)
+    HG_01, i.e. for order 1 the matrix on (c_01, c_10) is [[cos, sin], [-sin, cos]].
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > MAX_ORDER:
         raise ValueError(f"order too large: {order} exceeds {MAX_ORDER}")
-    basis = _lg_basis(order)
-    l = np.arange(order, -order - 1, -2)
-    return ((basis * np.exp(-1j * l * angle)) @ basis.conj().T).real
+    return _rotation_columns(order, angle, slice(None))
 
 
 def _chunk_products(layout: _Layout, x: np.ndarray, transpose: bool) -> np.ndarray:
@@ -589,9 +587,9 @@ def _to_oam(layout: _Layout, c: np.ndarray) -> np.ndarray:
     """LG amplitudes of the HG coefficients ``c`` laid out by ``layout``.
 
     The coefficients c of each order o become w = V^dagger c = R^T (i^-n c)
-    over the LG modes of that order (:func:`_lg_basis`), in the same places:
-    the amplitude at place k has OAM ``layout.l[k]``.  Every rotation and
-    Sagnac port is diagonal in this basis.
+    over the LG modes of that order (V = diag(i^n) R, :func:`_real_lg_basis`),
+    in the same places: the amplitude at place k has OAM ``layout.l[k]``.
+    Every rotation and Sagnac port is diagonal in this basis.
     """
     return _chunk_products(layout, c * layout.phases.conj(), transpose=True)
 

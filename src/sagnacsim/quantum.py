@@ -8,13 +8,13 @@ is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
 HG_{n2, o2-n2}; only blocks holding a nonzero term are kept, under the
 norm and scaling rules :class:`~sagnacsim.modes.ModeExpansion` shares.  Both
 Sagnac ports are diagonal over LG modes, so sorting takes each block C to
-its LG amplitudes V1^H C V2* with one product per photon order and reads
-the four branch powers off them; a branch's HG blocks are built only
-when its state is read, and heralding builds only the trigger's row of
-its branch.  The compressor is the per-block product with its order-one
-unitary, and the Schmidt spectrum is an SVD over the rows and columns
-that carry support, at any order.  The two-photon polarization is
-carried alongside as amplitudes over {HV, VH, HH, VV}.
+its LG amplitudes V1^H C V2* (V = diag(i^n) R, one real product with R per
+photon order) and reads the four branch powers off them; a branch's HG
+blocks are built only when its state is read, and heralding builds only
+the trigger's row of them.  The compressor is the per-block product with
+its order-one unitary, and the Schmidt spectrum is an SVD over the rows
+and columns that carry support, at any order.  The two-photon
+polarization is carried alongside as amplitudes over {HV, VH, HH, VV}.
 
 Biphoton sorting works in each output beam's own transverse frame: the
 deterministic 90 degree rotation every Sagnac output shares is dropped,
@@ -30,7 +30,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from types import MappingProxyType
 from typing import IO
 
@@ -44,8 +44,11 @@ from .modes import (
     ModeExpansion,
     _Amplitudes,
     _check_index,
+    _from_oam,
     _integer_index,
-    _lg_basis,
+    _layout,
+    _order_basis,
+    _PHASES,
     rotation_matrix,  # no caller; the benchmark's tracer wraps quantum.rotation_matrix
 )
 
@@ -69,6 +72,8 @@ DEFAULT_GEOMETRY = BeamGeometry(1.0)
 # entries are 268 MB, and a sort holds about as much again.  Block (o1, o2)
 # holds (o1 + 1)(o2 + 1) entries however few of its terms are nonzero.
 MAX_BIPHOTON_ENTRIES = 2**24
+
+_INVERSE_PHASES = _PHASES.conj()  # i^-n, n = 0..MAX_ORDER: V^dagger = R^T diag(i^-n)
 
 
 class BiphotonExpansion(_Amplitudes):
@@ -221,13 +226,6 @@ def load_biphoton_table(
     return BiphotonExpansion(terms, bell_polarization(), geometry)
 
 
-def dump_biphoton_table(b: BiphotonExpansion) -> str:
-    lines = ["biphoton v1"]
-    for (a, pb), c in sorted(b.terms.items()):
-        lines.append(f"{a.n} {a.m} {pb.n} {pb.m} {c.real:.17g} {c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Three-mode fiber
 # ---------------------------------------------------------------------------
@@ -264,7 +262,7 @@ class SortedBranch:
     probability: float
     _power: float = field(repr=False, compare=False)  # unnormalized branch power
     _source: BiphotonExpansion = field(repr=False, compare=False)
-    _amps: dict = field(repr=False, compare=False)  # (o1, o2) -> W = V1^H C V2*
+    _amps: dict = field(repr=False, compare=False)  # (o1, o2) -> W = R1^T (i^-n1 C i^-n2) R2
     _rows: dict = field(repr=False, compare=False)  # order -> (f_A, f_B)
     _ports: tuple[int, int] = field(repr=False, compare=False)  # rows for photons 1, 2
 
@@ -272,14 +270,21 @@ class SortedBranch:
     def state(self) -> BiphotonExpansion | None:
         if self._power == 0.0:
             return None
-        # Block (o1, o2) is V1 (f_i W f_j) V2^T / sqrt(power), with both
-        # ends formed once per order.
-        (i, j), scale = self._ports, 1.0 / math.sqrt(self._power)
-        left = {o: _lg_basis(o) * (f[i] * scale) for o, f in self._rows.items()}
-        right = {o: f[j, :, None] * _lg_basis(o).T for o, f in self._rows.items()}
-        return self._source._with_blocks(
-            {(o1, o2): left[o1] @ w @ right[o2] for (o1, o2), w in self._amps.items()}
-        )
+        blocks, scale = {}, 1.0 / math.sqrt(self._power)
+        for o1, keys in groupby(sorted(self._amps), key=lambda key: key[0]):
+            layout, hg = self._hg_rows(o1, tuple(o2 for _, o2 in keys), scale=scale)
+            starts = layout.starts.tolist()
+            blocks.update(((o1, o), hg[:, s:s + o + 1]) for o, s in zip(layout.orders, starts))
+        return self._source._with_blocks({key: blocks[key] for key in self._amps})
+
+    def _hg_rows(self, o1: int, o2s: tuple[int, ...], rows: slice = slice(None), scale: float = 1.0) -> tuple:
+        """The ``_layout`` of the sorted ``o2s``, and in it ``rows`` of this branch's HG
+        blocks (o1, o2) times ``scale``: V1 (f_i W f_j) V2^T with V = diag(i^n) R, V2^T
+        applied row by row by ``_from_oam``."""
+        (i, j), f, layout = self._ports, self._rows, _layout(o2s)
+        left = _order_basis(o1)[rows] * _PHASES[:o1 + 1][rows, None] * (f[o1][i] * scale)
+        w = _joined([self._amps[o1, o2].T for o2 in o2s], axis=0).T
+        return layout, _from_oam(layout, left @ w * _joined([f[o2][j] for o2 in o2s], axis=0))
 
 
 @dataclass
@@ -302,6 +307,12 @@ def _joined(blocks: list[np.ndarray], axis: int) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
 
 
+def _to_lg(order: int, x: np.ndarray) -> np.ndarray:
+    """V^dagger x = R^T (i^-n x) over the HG rows n of ``x``: one real product on its float pairs."""
+    x = np.ascontiguousarray(x * _INVERSE_PHASES[:order + 1, None])
+    return (_order_basis(order).T @ x.view(float)).view(complex)
+
+
 def _edges(orders: list[int]) -> list[int]:
     """Offsets of blocks of these orders joined along one axis."""
     return list(accumulate((o + 1 for o in orders), initial=0))
@@ -316,9 +327,9 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
     is omitted.
 
     Both ports are diagonal over LG modes, so each block C is taken once to
-    its LG amplitudes W = V1^H C V2*: the blocks of each photon-1 order,
-    side by side, take V1^H in one product, and for each photon-2 order the
-    matching column slices, stacked as rows, take V2* in one product.
+    its LG amplitudes W = V1^H C V2* = R1^T (i^-n1 C i^-n2) R2: the blocks of
+    each photon-1 order, side by side, take R1^T in one real product, and for
+    each photon-2 order the matching column slices, stacked, take R2 in one.
     Branch (i, j) then has power sum |f_i(l1)|^2 |W|^2 |f_j(l2)|^2,
     accumulated once per photon-2 order, and builds no state until its
     ``state`` is read.  Only occupied blocks are joined, so memory follows
@@ -329,7 +340,7 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
         raise ValueError("zero biphoton state")
     # rows[o] = (f_A, f_B) = (1 +- e^{i phi} e^{2 i l Omega})/2: the ports
     # (1 +- e^{i phi} R(-2 Omega))/2 of the output-beam frame over the LG
-    # modes of order o, column k matching column k of _lg_basis(o), l = o - 2k.
+    # modes of order o, column k matching column k of R (_order_basis(o)), l = o - 2k.
     phase = cmath.exp(1j * stage.phi)
     rows = {}
     for o in {order for key in b.blocks for order in key}:
@@ -340,18 +351,18 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
     for o1, o2 in b.blocks:
         by_o1.setdefault(o1, []).append(o2)
         by_o2.setdefault(o2, []).append(o1)
-    # left[o1, o2] = V1^H C for the block (o1, o2), a column slice of one
-    # product per photon-1 order.
+    # left[o1, o2] = R1^T (i^-n1 C) for the block (o1, o2), a column slice of
+    # one product per photon-1 order.
     left = {}
     for o1, o2s in by_o1.items():
-        product = _lg_basis(o1).conj().T @ _joined([b.blocks[o1, o2] for o2 in o2s], axis=1)
+        product = _to_lg(o1, _joined([b.blocks[o1, o2] for o2 in o2s], axis=1))
         edges = _edges(o2s)
         for o2, start, stop in zip(o2s, edges, edges[1:]):
             left[o1, o2] = product[:, start:stop]
     amps = dict.fromkeys(b.blocks)  # (o1, o2) -> W, in block order
     power = np.zeros((2, 2))
     for o2, o1s in by_o2.items():
-        w = _joined([left[o1, o2] for o1 in o1s], axis=0) @ _lg_basis(o2).conj()
+        w = _to_lg(o2, _joined([left[o1, o2] for o1 in o1s], axis=0).T).T  # (V2^H left^T)^T
         gain1 = np.abs(_joined([rows[o1] for o1 in o1s], axis=1)) ** 2
         power += gain1 @ (w.real**2 + w.imag**2) @ (np.abs(rows[o2]) ** 2).T
         edges = _edges(o1s)
@@ -435,21 +446,19 @@ def herald(
         raise ValueError("trigger port must be 'A' or 'B'")
     other = "B" if trigger_port == "A" else "A"
     branch = sort_result.branches[trigger_port + other]
-    if branch.probability <= 0.0:
-        raise ValueError("zero-probability trigger")
     trig = _check_index(trigger_mode)
-    # Row trig.n of each block of the trigger's order, as in SortedBranch.state.
-    (i, j), rows, source = branch._ports, branch._rows, branch._source
-    state = ModeExpansion({}, source.geometry)._with_blocks({
-        o2: (_lg_basis(o1)[trig.n] * rows[o1][i]) @ w * rows[o2][j] @ _lg_basis(o2).T
-        for (o1, o2), w in branch._amps.items() if o1 == trig.order
-    })
+    # Row trig.n of the branch's blocks of the trigger's order.
+    o2s = tuple(sorted(o2 for o1, o2 in branch._amps if o1 == trig.order))
+    if branch.probability <= 0.0 or not o2s:
+        raise ValueError("zero-probability trigger")
+    layout, hg = branch._hg_rows(trig.order, o2s, slice(trig.n, trig.n + 1))
+    state = ModeExpansion({}, branch._source.geometry)._with_vector(hg[0], layout)
     power = state.norm_sq()
     if power == 0.0:
         raise ValueError("zero-probability trigger")
     return HeraldResult(
         spatial=state.scaled(1.0 / math.sqrt(power)),
-        polarization=dict(source.polarization),
+        polarization=dict(branch._source.polarization),
         probability=branch.probability * power / branch._power,
     )
 

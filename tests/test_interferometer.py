@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sagnacsim import interferometer as I
 from sagnacsim import modes as M
+from sagnacsim import quantum as Q
 
 GEOM = M.BeamGeometry(1.0)
 GRID = M.default_grid(GEOM)
@@ -375,13 +376,59 @@ def test_port_states_keep_nonzero_blocks_as_read_only_views():
     assert port_a.norm_sq() == pytest.approx(6.0, rel=1e-14)
 
 
+def clear_basis_caches():
+    """Drop every cached LG basis: the chunk stacks, the per-order views of
+    them and the layouts that cut chunks from them."""
+    for cache in (M._chunk_basis, M._order_basis, M._layout):
+        cache.cache_clear()
+
+
+def run_every_basis_route():
+    """Each route that reads the LG basis, at every order up to MAX_ORDER; nothing is kept."""
+    e = random_expansion(np.random.default_rng(2), M.MAX_ORDER)
+    I.sagnac_transfer(e, I.SagnacStage(0.7, 0.2))
+    I.cascade_route(I.cascade_build(3), e)
+    # Blocks (o, 0) and (0, o) at every order; every branch state and a herald.
+    terms = {}
+    for o in range(M.MAX_ORDER + 1):
+        terms[(o, 0), (0, 0)] = 1.0
+        terms[(0, 0), (0, o)] = 0.5j
+    result = Q.sort_biphoton(Q.BiphotonExpansion(terms), I.SagnacStage(0.7, 0.2))
+    assert all(branch.state is not None for branch in result.branches.values())
+    Q.herald(result, "A", M.HGIndex(0, 0))
+    for order in range(M.MAX_ORDER + 1):
+        M.lg_to_hg(M.LGIndex(0, order), GEOM)
+        M.rotation_matrix(order, 0.3)
+
+
+def test_every_basis_route_runs_eigh_once_per_order(monkeypatch):
+    clear_basis_caches()
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix, *args, **kwargs):
+        sizes.append(len(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    run_every_basis_route()
+    assert sorted(sizes) == list(range(1, M.MAX_ORDER + 2))
+
+
 def test_order_170_transfer_holds_bounded_caches():
-    I.sagnac_transfer(random_expansion(np.random.default_rng(2), M.MAX_ORDER), I.SagnacStage(0.7, 0.2))
-    chunks = math.ceil((M.MAX_ORDER + 1) / M._CHUNK)
-    held = sum(M._chunk_basis(k).nbytes for k in range(chunks))
-    assert M._chunk_basis.cache_info().currsize <= chunks
-    assert held < 20e6
+    # Every LG basis that the routes reach, held once: the chunk stacks of R
+    # are about 14 MB to MAX_ORDER, and the per-order views add nothing.
+    clear_basis_caches()
+    tracemalloc.start()
+    try:
+        run_every_basis_route()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert M._chunk_basis.cache_info().currsize == math.ceil((M.MAX_ORDER + 1) / M._CHUNK)
+    assert M._order_basis.cache_info().currsize <= M.MAX_ORDER + 1
     assert M._layout.cache_info().maxsize is not None
+    assert held <= 20e6
 
 
 def direct_port_factors(omega, phase, l):

@@ -513,6 +513,15 @@ def test_flat_state_reads_as_its_blocks(first, second, seed):
     assert_reads_as(e.normalized(), {o: block * scale for o, block in want.items()})
 
 
+def lg_basis_reference(order):
+    """V = diag(i^n) R, with R the eigenvectors of the real tridiagonal
+    rotation generator (off-diagonals sqrt((n+1)(order-n))), diagonalised here."""
+    n = np.arange(order)
+    off = np.sqrt((n + 1.0) * (order - n))
+    real = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+    return np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4, None] * real
+
+
 @PROPERTY
 @given(_order_sets, st.integers(0, 2**32 - 1))
 def test_chunked_oam_route_matches_the_per_order_bases(orders, seed):
@@ -523,7 +532,7 @@ def test_chunked_oam_route_matches_the_per_order_bases(orders, seed):
     # The state holds its orders sorted, whatever the key order it was given.
     e = M.ModeExpansion({}, GEOM)._with_blocks(blocks)
     w = M._to_oam(e._layout, e._vector)
-    want = np.concatenate([M._lg_basis(o).conj().T @ blocks[o] for o in sorted(orders)])
+    want = np.concatenate([lg_basis_reference(o).conj().T @ blocks[o] for o in sorted(orders)])
     assert np.max(np.abs(w - want)) <= 1e-14
     assert np.array_equal(e._layout.l, np.concatenate([np.arange(o, -o - 1, -2) for o in sorted(orders)]))
     back = M._from_oam(e._layout, w)

@@ -24,7 +24,8 @@ between :func:`_to_oam` and :func:`_from_oam`, which carry the vector to
 the LG amplitudes of each order, in the same places, and back.  The LG
 basis of an order is V = diag(i^n) R with R real, so both run as one real
 batched product per chunk of consecutive orders on the amplitudes viewed as
-float pairs.  R is held only in those chunks (:func:`_chunk_basis`).
+float pairs.  R is held only in those chunks (:func:`_chunk_basis`), and
+the biphoton sort multiplies a tile by them on either side (:class:`_Band`).
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ def hermite_gauss_ladder(nmax: int, x, w0: float) -> np.ndarray:
 
 class _Amplitudes:
     """Rules both state types share: a finite norm summed once over the
-    ``blocks``, and scaling and pruning, each one :meth:`_map` of the
-    read-only amplitudes.  A subclass names itself in ``_noun`` for errors."""
+    ``_pieces``, by default the ``blocks``, and scaling and pruning, each
+    one :meth:`_map` of the read-only amplitudes.  A subclass names itself
+    in ``_noun`` for errors."""
 
     __slots__ = ("geometry", "_norm_sq")
 
@@ -155,11 +157,14 @@ class _Amplitudes:
             raise ValueError("state norm is not finite: amplitudes too large")
 
     def norm_sq(self) -> float:
-        # Summed once, as the amplitudes are read-only, and block by block:
-        # one vdot over a vector of several orders rounds differently.
+        # Summed once, as the amplitudes are read-only, and one vdot per
+        # order or block: one vdot over several of them rounds differently.
         if self._norm_sq is None:
-            self._norm_sq = float(sum(np.vdot(block, block).real for block in self.blocks.values()))
+            self._norm_sq = float(sum(np.vdot(piece, piece).real for piece in self._pieces()))
         return self._norm_sq
+
+    def _pieces(self):
+        return self.blocks.values()
 
     def normalized(self):
         n = math.sqrt(self.norm_sq())
@@ -203,13 +208,9 @@ class ModeExpansion(_Amplitudes):
         self._check_norm()
 
     def _with_vector(self, vector: np.ndarray, layout: _Layout | None = None) -> "ModeExpansion":
-        """An expansion in this geometry holding ``vector`` (made read-only) in
-        ``layout``, by default this one's; unvalidated."""
-        vector.setflags(write=False)
-        out = object.__new__(ModeExpansion)
-        out.geometry, out._layout = self.geometry, layout or self._layout
-        out._vector, out._norm_sq = vector, None
-        return out
+        """An expansion in this geometry holding ``vector`` in ``layout``, by
+        default this one's; unvalidated (:func:`_expansion`)."""
+        return _expansion(self.geometry, vector, layout or self._layout)
 
     def _with_blocks(self, blocks) -> "ModeExpansion":
         """An expansion in this geometry over per-order ``blocks``, in any key order; unvalidated."""
@@ -219,6 +220,10 @@ class ModeExpansion(_Amplitudes):
 
     def _map(self, f) -> "ModeExpansion":
         return self._with_vector(f(self._vector))
+
+    def _pieces(self):
+        """Each order's entries, all-zero orders included: they add +0.0 to the norm."""
+        return (self._vector[s:s + o + 1] for o, s in zip(self._layout.orders, self._layout.starts.tolist()))
 
     @property
     def blocks(self) -> Mapping[int, np.ndarray]:
@@ -269,6 +274,14 @@ class ModeExpansion(_Amplitudes):
             f"({i.n},{i.m}): {a:.6g}" for i, a in sorted(self.terms.items())
         )
         return f"ModeExpansion({{{inside}}}, w0={self.geometry.w0:g})"
+
+
+def _expansion(geometry: BeamGeometry, vector: np.ndarray, layout: _Layout) -> ModeExpansion:
+    """An expansion in ``geometry`` holding ``vector`` (made read-only) in ``layout``; unvalidated."""
+    vector.setflags(write=False)
+    out = object.__new__(ModeExpansion)
+    out.geometry, out._layout, out._vector, out._norm_sq = geometry, layout, vector, None
+    return out
 
 
 @dataclass(frozen=True)
@@ -385,7 +398,7 @@ def lg_to_hg(idx: LGIndex, geom: BeamGeometry) -> ModeExpansion:
     # Column (order + l)/2 of the rotation by -pi/4, in O(order^2).
     column = _rotation_columns(order, -math.pi / 4, (order + idx.l) // 2)
     amps = column * _I_POWERS[(np.arange(order + 1) - abs(idx.l)) % 4]
-    return ModeExpansion({}, geom)._with_blocks({order: amps})
+    return _expansion(geom, amps, _layout((order,)))
 
 
 def _lobe_samples(spec: GridSpec, geom: BeamGeometry, order: int) -> float:
@@ -417,7 +430,7 @@ def decompose_grid(
     # c_nm = sum_ij h[m, i] h[n, j] F[i, j] dx^2, batched as H F H^T.
     coeffs = (h @ field.values @ h.T) * field.spec.dx**2
     layout = _layout(tuple(range(max_order + 1)))
-    out = ModeExpansion({}, geom)._with_vector(coeffs[layout.n + layout.l, layout.n], layout)
+    out = _expansion(geom, coeffs[layout.n + layout.l, layout.n], layout)
     return out, field.norm_sq() - out.norm_sq()
 
 
@@ -507,6 +520,48 @@ class _Layout:
         return tuple(
             (_chunk_basis(c)[first:stop, :size, :size], places) for c, first, stop, size, places in self.spans
         )
+
+    @functools.cached_property
+    def bands(self) -> tuple[_Band, ...]:
+        """The chunks present as :class:`_Band`, built on first use."""
+        bands = []
+        for bases, places in self.chunks:
+            first, stop = self.slots.searchsorted((places.start, places.stop)).tolist()
+            rows = self.slots[first:stop] - places.start
+            phases, l = np.zeros(places.stop - places.start, complex), np.zeros(places.stop - places.start, int)
+            phases[rows], l[rows] = self.phases[first:stop].conj(), self.l[first:stop]
+            gaps = np.ones(len(l), bool)
+            gaps[rows] = False
+            bands.append(_Band(bases, places, slice(first, stop), rows, phases, l, np.flatnonzero(gaps)))
+        return tuple(bands)
+
+
+class _Band(NamedTuple):
+    """One chunk of a layout, padded as the biphoton sort multiplies it on
+    either side: its K * P places are K slots of P, each order's amplitudes
+    first in its slot and zeros after them."""
+
+    bases: np.ndarray  # R of the chunk's orders, (K, P, P), as in _Layout.chunks
+    places: slice  # its places among the layout's ``padded``
+    amplitudes: slice  # the layout's amplitudes it holds
+    rows: np.ndarray  # their places, counted from the chunk's first
+    inverse_phases: np.ndarray  # i^-n at each place, 0 between slots
+    l: np.ndarray  # OAM at each place, 0 between slots
+    gaps: np.ndarray  # the places between slots, counted as ``rows``
+
+    def to_lg(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """R^T (i^-n x) over this chunk's places, for its amplitudes as the
+        rows of ``x``: padded into the slots, one real batched product on
+        their float pairs, into ``out`` if given."""
+        k, p = self.bases.shape[:2]
+        padded = np.empty((k * p, x.shape[1]), complex)
+        padded[self.gaps] = 0
+        padded[self.rows] = x
+        padded *= self.inverse_phases[:, None]
+        out = np.empty_like(padded) if out is None else out
+        bases, shape = self.bases.transpose(0, 2, 1), (k, p, -1)
+        np.matmul(bases, padded.view(float).reshape(shape), out=out.view(float).reshape(shape))
+        return out
 
 
 @functools.lru_cache(maxsize=64)

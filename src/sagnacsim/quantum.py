@@ -2,18 +2,19 @@
 biphoton sorting, compressors, heralding, and entanglement diagnostics.
 
 All states live in the post-selected two-photon subspace; probabilities
-are conditional on a pair being present.  The spatial part of a biphoton
-is a set of per-order coefficient blocks: block ``(o1, o2)`` has shape
-``(o1 + 1, o2 + 1)`` and entry ``[n1, n2]`` multiplies HG_{n1, o1-n1} x
-HG_{n2, o2-n2}; only blocks holding a nonzero term are kept, under the
-norm and scaling rules :class:`~sagnacsim.modes.ModeExpansion` shares.  Both
-Sagnac ports are diagonal over LG modes, so sorting takes each block C to
-its LG amplitudes V1^H C V2* (V = diag(i^n) R, one real product with R per
-photon order) and reads the four branch powers off them; a branch's HG
-blocks are built only when its state is read, and heralding builds only
-the trigger's row of them.  The compressor is the per-block product with
-its order-one unitary, and the Schmidt spectrum is an SVD over the rows
-and columns that carry support, at any order.  The two-photon
+are conditional on a pair being present.  Block ``(o1, o2)`` of a biphoton
+has shape ``(o1 + 1, o2 + 1)``, entry ``[n1, n2]`` multiplying HG_{n1, o1-n1}
+x HG_{n2, o2-n2}.  Only blocks holding a nonzero term are kept, in a few
+dense read-only tiles: photon-1 orders that occupy the same photon-2 orders
+form one tile over ``_layout(o1s) x _layout(o2s)``.  Both Sagnac ports are
+diagonal over LG modes, so sorting takes each tile T to its LG amplitudes
+V1^H T V2* (V = diag(i^n) R per order) in real batched products on the
+chunk stacks of R and reads the four branch powers off them; a branch's HG
+tiles are built only when its state is read, and heralding builds only the
+trigger's row.  The compressor is the per-block product with its order-one
+unitary, and the Schmidt spectrum is an SVD over the rows and columns that
+carry support, at any order.  Norm and scaling follow the rules
+:class:`~sagnacsim.modes.ModeExpansion` shares, and the two-photon
 polarization is carried alongside as amplitudes over {HV, VH, HH, VV}.
 
 Biphoton sorting works in each output beam's own transverse frame: the
@@ -30,7 +31,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import groupby
 from types import MappingProxyType
 from typing import IO
 
@@ -44,6 +45,7 @@ from .modes import (
     ModeExpansion,
     _Amplitudes,
     _check_index,
+    _expansion,
     _from_oam,
     _integer_index,
     _layout,
@@ -73,41 +75,39 @@ DEFAULT_GEOMETRY = BeamGeometry(1.0)
 # holds (o1 + 1)(o2 + 1) entries however few of its terms are nonzero.
 MAX_BIPHOTON_ENTRIES = 2**24
 
-_INVERSE_PHASES = _PHASES.conj()  # i^-n, n = 0..MAX_ORDER: V^dagger = R^T diag(i^-n)
-
 
 class BiphotonExpansion(_Amplitudes):
     """Finite expansion over ordered HG x HG products plus polarization.
 
-    ``blocks`` maps ``(o1, o2)`` to a read-only coefficient block (layout in
-    the module docstring); ``terms`` is derived from it.
+    ``_tiles`` holds (rows, cols, tile) per tile (module docstring): the
+    ``_layout`` of its photon-1 and photon-2 orders and the read-only tile
+    over them.  ``blocks`` and ``terms`` are read from the tiles.
     """
 
-    __slots__ = ("blocks", "polarization")
+    __slots__ = ("_tiles", "polarization")
     _noun = "biphoton state"
 
     def __init__(self, terms, polarization=None, geometry: BeamGeometry = DEFAULT_GEOMETRY):
         # Every term is validated, and the blocks it occupies are counted
-        # against MAX_BIPHOTON_ENTRIES, before any block is allocated.
-        checked = []
+        # against MAX_BIPHOTON_ENTRIES, before any tile is allocated.
+        by_block: dict[tuple[int, int], list] = {}
         for (a, b), amp in dict(terms).items():
             a, b, amp = _check_index(a), _check_index(b), complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude for {(a, b)}")
             if amp != 0:
-                checked.append((a, b, amp))
-        entries = sum((o1 + 1) * (o2 + 1) for o1, o2 in {(a.order, b.order) for a, b, _ in checked})
+                by_block.setdefault((a.order, b.order), []).append((a.n, b.n, amp))
+        entries = sum((o1 + 1) * (o2 + 1) for o1, o2 in by_block)
         if entries > MAX_BIPHOTON_ENTRIES:
             raise ValueError(
                 f"biphoton blocks would hold {entries} entries, more than the limit of {MAX_BIPHOTON_ENTRIES}"
             )
-        self.blocks = {}
-        for a, b, amp in checked:
-            if (a.order, b.order) not in self.blocks:
-                self.blocks[a.order, b.order] = np.zeros((a.order + 1, b.order + 1), complex)
-            self.blocks[a.order, b.order][a.n, b.n] = amp
-        for block in self.blocks.values():
-            block.setflags(write=False)
+
+        def put(block, entries):
+            n1, n2, amps = zip(*entries)
+            block[n1, n2] = amps
+
+        self._tiles = _tiled(by_block, put)
         self._check_norm()
         pol = dict(polarization) if polarization is not None else bell_polarization()
         for k in pol:
@@ -116,17 +116,29 @@ class BiphotonExpansion(_Amplitudes):
         self.polarization = {k: complex(v) for k, v in pol.items()}
         self.geometry = geometry
 
-    def _with_blocks(self, blocks) -> "BiphotonExpansion":
-        """This state with the nonzero ``blocks``, made read-only; unvalidated."""
+    def _with_tiles(self, tiles) -> "BiphotonExpansion":
+        """This state over ``tiles`` (rows, cols, tile), made read-only; unvalidated.
+        If a block of them holds only zeros, the nonzero blocks are tiled anew."""
+        tiles = tuple(tiles)
+        for rows, cols, tile in tiles:
+            tile.setflags(write=False)
+            if not np.logical_or.reduceat(np.logical_or.reduceat(tile != 0, rows.starts), cols.starts, axis=1).all():
+                return self._with_blocks(_blocks_of(tiles))
         out = object.__new__(BiphotonExpansion)
-        out.blocks = {key: block for key, block in blocks.items() if np.count_nonzero(block)}
-        for block in out.blocks.values():
-            block.setflags(write=False)
-        out.geometry, out.polarization, out._norm_sq = self.geometry, dict(self.polarization), None
+        out._tiles, out.geometry, out.polarization, out._norm_sq = tiles, self.geometry, dict(self.polarization), None
         return out
 
+    def _with_blocks(self, blocks) -> "BiphotonExpansion":
+        """This state holding the nonzero ``blocks``, keyed (o1, o2); unvalidated."""
+        return self._with_tiles(_tiled({k: block for k, block in blocks.items() if np.count_nonzero(block)}, np.copyto))
+
     def _map(self, f) -> "BiphotonExpansion":
-        return self._with_blocks({key: f(block) for key, block in self.blocks.items()})
+        return self._with_tiles((rows, cols, f(tile)) for rows, cols, tile in self._tiles)
+
+    @property
+    def blocks(self) -> Mapping[tuple[int, int], np.ndarray]:
+        """Read-only mapping of each occupied (o1, o2) to a read-only view of its block."""
+        return MappingProxyType(_blocks_of(self._tiles))
 
     @property
     def terms(self) -> Mapping[tuple[HGIndex, HGIndex], complex]:
@@ -139,10 +151,11 @@ class BiphotonExpansion(_Amplitudes):
 
     def coeff(self, a, b) -> complex:
         a, b = _integer_index(a), _integer_index(b)
-        block = self.blocks.get((a.order, b.order))
-        if block is None or min(a.n, a.m, b.n, b.m) < 0:
-            return 0j
-        return complex(block[a.n, b.n])
+        for rows, cols, tile in self._tiles:
+            if a.order in rows.orders and b.order in cols.orders and min(a.n, a.m, b.n, b.m) >= 0:
+                at = rows.starts[rows.orders.index(a.order)] + a.n, cols.starts[cols.orders.index(b.order)] + b.n
+                return complex(tile[at])
+        return 0j
 
     def __repr__(self):
         inside = ", ".join(
@@ -150,6 +163,31 @@ class BiphotonExpansion(_Amplitudes):
             for (a, b), c in sorted(self.terms.items())
         )
         return f"BiphotonExpansion({{{inside}}})"
+
+
+def _tiled(blocks: dict, put) -> tuple:
+    """Read-only tiles over the occupied (o1, o2) of ``blocks``, by the tile
+    rule and by rising photon-1 order; ``put(view, blocks[key])`` fills each."""
+    o1s_of: dict[tuple[int, ...], list[int]] = {}
+    for o1, keys in groupby(sorted(blocks), key=lambda key: key[0]):
+        o1s_of.setdefault(tuple(o2 for _, o2 in keys), []).append(o1)
+    layouts = [(_layout(tuple(o1s)), _layout(o2s)) for o2s, o1s in o1s_of.items()]
+    tiles = tuple((rows, cols, np.zeros((len(rows.n), len(cols.n)), complex)) for rows, cols in layouts)
+    for key, view in _blocks_of(tiles).items():
+        put(view, blocks[key])
+    for *_, tile in tiles:
+        tile.setflags(write=False)
+    return tiles
+
+
+def _blocks_of(tiles) -> dict:
+    """(o1, o2) -> a view of its block, for each block of ``tiles``."""
+    return {
+        (o1, o2): tile[s1:s1 + o1 + 1, s2:s2 + o2 + 1]
+        for rows, cols, tile in tiles
+        for o1, s1 in zip(rows.orders, rows.starts.tolist())
+        for o2, s2 in zip(cols.orders, cols.starts.tolist())
+    }
 
 
 def spdc_hg00(
@@ -262,29 +300,29 @@ class SortedBranch:
     probability: float
     _power: float = field(repr=False, compare=False)  # unnormalized branch power
     _source: BiphotonExpansion = field(repr=False, compare=False)
-    _amps: dict = field(repr=False, compare=False)  # (o1, o2) -> W = R1^T (i^-n1 C i^-n2) R2
-    _rows: dict = field(repr=False, compare=False)  # order -> (f_A, f_B)
-    _ports: tuple[int, int] = field(repr=False, compare=False)  # rows for photons 1, 2
+    _tiles: tuple = field(repr=False, compare=False)  # (rows, cols, W^T) per source tile: see sort_biphoton
+    _ports: np.ndarray = field(repr=False, compare=False)  # (f_A, f_B) of OAM l at column top + l
+    _pair: tuple[int, int] = field(repr=False, compare=False)  # port rows for photons 1, 2
 
     @cached_property
     def state(self) -> BiphotonExpansion | None:
         if self._power == 0.0:
             return None
-        blocks, scale = {}, 1.0 / math.sqrt(self._power)
-        for o1, keys in groupby(sorted(self._amps), key=lambda key: key[0]):
-            layout, hg = self._hg_rows(o1, tuple(o2 for _, o2 in keys), scale=scale)
-            starts = layout.starts.tolist()
-            blocks.update(((o1, o), hg[:, s:s + o + 1]) for o, s in zip(layout.orders, starts))
-        return self._source._with_blocks({key: blocks[key] for key in self._amps})
+        scale = 1.0 / math.sqrt(self._power)
+        return self._source._with_tiles(
+            (rows, cols, np.concatenate([self._hg_rows((rows, cols, wt), o1, scale=scale) for o1 in rows.orders]))
+            for rows, cols, wt in self._tiles
+        )
 
-    def _hg_rows(self, o1: int, o2s: tuple[int, ...], rows: slice = slice(None), scale: float = 1.0) -> tuple:
-        """The ``_layout`` of the sorted ``o2s``, and in it ``rows`` of this branch's HG
-        blocks (o1, o2) times ``scale``: V1 (f_i W f_j) V2^T with V = diag(i^n) R, V2^T
-        applied row by row by ``_from_oam``."""
-        (i, j), f, layout = self._ports, self._rows, _layout(o2s)
-        left = _order_basis(o1)[rows] * _PHASES[:o1 + 1][rows, None] * (f[o1][i] * scale)
-        w = _joined([self._amps[o1, o2].T for o2 in o2s], axis=0).T
-        return layout, _from_oam(layout, left @ w * _joined([f[o2][j] for o2 in o2s], axis=0))
+    def _hg_rows(self, tile: tuple, o1: int, at: slice = slice(None), scale: float = 1.0) -> np.ndarray:
+        """Rows ``at`` of photon-1 order ``o1`` of this branch's HG tile times ``scale``:
+        V1 (f_i W f_j) V2^T with V = diag(i^n) R, V2^T row by row by ``_from_oam``."""
+        (i, j), (rows, cols, wt), top = self._pair, tile, self._ports.shape[1] // 2
+        s = rows.starts[rows.orders.index(o1)]
+        place = rows.slots[s]
+        left = _order_basis(o1)[at] * _PHASES[:o1 + 1][at, None] * (self._ports[i, top + rows.l[s:s + o1 + 1]] * scale)
+        lg = (left @ wt[:, place:place + o1 + 1].T).take(cols.slots, axis=1)
+        return _from_oam(cols, lg * self._ports[j, top + cols.l])
 
 
 @dataclass
@@ -303,21 +341,6 @@ class BiphotonSortResult:
         return st
 
 
-def _joined(blocks: list[np.ndarray], axis: int) -> np.ndarray:
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
-
-
-def _to_lg(order: int, x: np.ndarray) -> np.ndarray:
-    """V^dagger x = R^T (i^-n x) over the HG rows n of ``x``: one real product on its float pairs."""
-    x = np.ascontiguousarray(x * _INVERSE_PHASES[:order + 1, None])
-    return (_order_basis(order).T @ x.view(float)).view(complex)
-
-
-def _edges(orders: list[int]) -> list[int]:
-    """Offsets of blocks of these orders joined along one axis."""
-    return list(accumulate((o + 1 for o in orders), initial=0))
-
-
 def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResult:
     """Sort each photon of a biphoton independently at one Sagnac stage.
 
@@ -326,50 +349,33 @@ def sort_biphoton(b: BiphotonExpansion, stage: SagnacStage) -> BiphotonSortResul
     the common output rotation would multiply both photons identically and
     is omitted.
 
-    Both ports are diagonal over LG modes, so each block C is taken once to
-    its LG amplitudes W = V1^H C V2* = R1^T (i^-n1 C i^-n2) R2: the blocks of
-    each photon-1 order, side by side, take R1^T in one real product, and for
-    each photon-2 order the matching column slices, stacked, take R2 in one.
-    Branch (i, j) then has power sum |f_i(l1)|^2 |W|^2 |f_j(l2)|^2,
-    accumulated once per photon-2 order, and builds no state until its
-    ``state`` is read.  Only occupied blocks are joined, so memory follows
-    the support.
+    Both ports are diagonal over LG modes, so each tile T is taken once to
+    W = V1^H T V2* = R1^T (i^-n1 T i^-n2) R2, a sub-tile per pair of chunks
+    (``_Band.to_lg`` on each side), and W^T is kept over the padded places.
+    Branch (i, j) has power g_i @ |W|^2 @ g_j^T, g = |f(l)|^2, and builds no
+    state until its ``state`` is read.  Memory follows the occupied blocks.
     """
     total = b.norm_sq()
     if total == 0.0:
         raise ValueError("zero biphoton state")
-    # rows[o] = (f_A, f_B) = (1 +- e^{i phi} e^{2 i l Omega})/2: the ports
-    # (1 +- e^{i phi} R(-2 Omega))/2 of the output-beam frame over the LG
-    # modes of order o, column k matching column k of R (_order_basis(o)), l = o - 2k.
-    phase = cmath.exp(1j * stage.phi)
-    rows = {}
-    for o in {order for key in b.blocks for order in key}:
-        back = phase * np.exp(2j * stage.omega * np.arange(o, -o - 1, -2))
-        rows[o] = 0.5 * np.stack((1.0 + back, 1.0 - back))
-    by_o1: dict[int, list[int]] = {}
-    by_o2: dict[int, list[int]] = {}
-    for o1, o2 in b.blocks:
-        by_o1.setdefault(o1, []).append(o2)
-        by_o2.setdefault(o2, []).append(o1)
-    # left[o1, o2] = R1^T (i^-n1 C) for the block (o1, o2), a column slice of
-    # one product per photon-1 order.
-    left = {}
-    for o1, o2s in by_o1.items():
-        product = _to_lg(o1, _joined([b.blocks[o1, o2] for o2 in o2s], axis=1))
-        edges = _edges(o2s)
-        for o2, start, stop in zip(o2s, edges, edges[1:]):
-            left[o1, o2] = product[:, start:stop]
-    amps = dict.fromkeys(b.blocks)  # (o1, o2) -> W, in block order
-    power = np.zeros((2, 2))
-    for o2, o1s in by_o2.items():
-        w = _to_lg(o2, _joined([left[o1, o2] for o1 in o1s], axis=0).T).T  # (V2^H left^T)^T
-        gain1 = np.abs(_joined([rows[o1] for o1 in o1s], axis=1)) ** 2
-        power += gain1 @ (w.real**2 + w.imag**2) @ (np.abs(rows[o2]) ** 2).T
-        edges = _edges(o1s)
-        for o1, start, stop in zip(o1s, edges, edges[1:]):
-            amps[o1, o2] = w[start:stop]
+    # ports[:, top + l] = (f_A, f_B) = (1 +- e^{i phi} e^{2 i l Omega})/2: the
+    # ports (1 +- e^{i phi} R(-2 Omega))/2 of the output-beam frame over the
+    # LG modes of OAM l, matching column k of R of order o at l = o - 2k.
+    top = max(max(rows.orders[-1], cols.orders[-1]) for rows, cols, _ in b._tiles)
+    back = cmath.exp(1j * stage.phi) * np.exp(2j * stage.omega * np.arange(-top, top + 1))
+    ports = 0.5 * np.stack((1.0 + back, 1.0 - back))
+    tiles, power = [], np.zeros((2, 2))
+    for rows, cols, tile in b._tiles:
+        wt = np.empty((cols.padded, rows.padded), complex)
+        for band1 in rows.bands:
+            gain1 = np.abs(ports[:, top + band1.l]) ** 2
+            for band2 in cols.bands:
+                x = band1.to_lg(tile[band1.amplitudes, band2.amplitudes])
+                x = band2.to_lg(x.T, out=wt[band2.places, band1.places])
+                power += gain1 @ (x.real**2 + x.imag**2).T @ (np.abs(ports[:, top + band2.l]) ** 2).T
+        tiles.append((rows, cols, wt))
     return BiphotonSortResult({
-        p1 + p2: SortedBranch(float(power[i, j]) / total, float(power[i, j]), b, amps, rows, (i, j))
+        p1 + p2: SortedBranch(float(power[i, j]) / total, float(power[i, j]), b, tiles, ports, (i, j))
         for i, p1 in enumerate("AB")
         for j, p2 in enumerate("AB")
     })
@@ -447,12 +453,11 @@ def herald(
     other = "B" if trigger_port == "A" else "A"
     branch = sort_result.branches[trigger_port + other]
     trig = _check_index(trigger_mode)
-    # Row trig.n of the branch's blocks of the trigger's order.
-    o2s = tuple(sorted(o2 for o1, o2 in branch._amps if o1 == trig.order))
-    if branch.probability <= 0.0 or not o2s:
+    # Row trig.n of the branch's HG tile that holds the trigger's order.
+    tile = next((tile for tile in branch._tiles if trig.order in tile[0].orders), None)
+    if branch.probability <= 0.0 or tile is None:
         raise ValueError("zero-probability trigger")
-    layout, hg = branch._hg_rows(trig.order, o2s, slice(trig.n, trig.n + 1))
-    state = ModeExpansion({}, branch._source.geometry)._with_vector(hg[0], layout)
+    state = _expansion(branch._source.geometry, branch._hg_rows(tile, trig.order, slice(trig.n, trig.n + 1))[0], tile[1])
     power = state.norm_sq()
     if power == 0.0:
         raise ValueError("zero-probability trigger")
@@ -477,28 +482,23 @@ def schmidt_coefficients(b: BiphotonExpansion) -> list[float]:
     columns that carry support, so memory follows the support, not the
     orders; the all-zero rest contributes the trailing zeros.
     """
-    # The rows n1 and columns n2 of each block that hold a nonzero entry.
-    support = {
-        key: (np.flatnonzero(block.any(axis=1)).tolist(), np.flatnonzero(block.any(axis=0)).tolist())
-        for key, block in b.blocks.items()
-    }
-    # Matrix rows and columns follow the sorted HG indices (n, m).
-    rows = {a: i for i, a in enumerate(sorted(
-        {(n1, o1 - n1) for (o1, _), (n1s, _) in support.items() for n1 in n1s}
-    ))}
-    cols = {c: j for j, c in enumerate(sorted(
-        {(n2, o2 - n2) for (_, o2), (_, n2s) in support.items() for n2 in n2s}
-    ))}
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for (o1, o2), (n1s, n2s) in support.items():
-        at = np.ix_([rows[n, o1 - n] for n in n1s], [cols[n, o2 - n] for n in n2s])
-        mat[at] = b.blocks[o1, o2][np.ix_(n1s, n2s)]
+    # The rows and columns of each tile that hold a nonzero entry, by their
+    # HG modes o (o + 1) / 2 + n, and the entries they hold.
+    parts = [
+        (rows.mode[i], cols.mode[j], tile[np.ix_(i, j)])
+        for rows, cols, tile in b._tiles
+        for i, j in [(np.flatnonzero(tile.any(axis=1)), np.flatnonzero(tile.any(axis=0)))]
+    ]
+    modes1, modes2 = (np.array(sorted({m for p in parts for m in p[k].tolist()}), int) for k in (0, 1))
+    mat = np.zeros((len(modes1), len(modes2)), dtype=complex)
+    for m1, m2, entries in parts:
+        mat[np.ix_(modes1.searchsorted(m1), modes2.searchsorted(m2))] = entries
     sv = np.linalg.svd(mat, compute_uv=False)
     total = float(np.sum(sv**2))
     if total == 0.0:
         raise ValueError("zero state has no Schmidt spectrum")
     sv = sv / math.sqrt(total)
-    dims = min(sum(o + 1 for o in set(orders)) for orders in zip(*b.blocks))
+    dims = min(sum(o + 1 for o in {o for tile in b._tiles for o in tile[k].orders}) for k in (0, 1))
     return [float(s) for s in sv] + [0.0] * (dims - len(sv))
 
 

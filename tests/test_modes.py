@@ -513,6 +513,25 @@ def test_flat_state_reads_as_its_blocks(first, second, seed):
     assert_reads_as(e.normalized(), {o: block * scale for o, block in want.items()})
 
 
+@PROPERTY
+@given(_orders_some_zero, st.integers(0, 2**32 - 1))
+def test_norm_sums_the_order_slices_bit_for_bit_as_the_blocks(orders_zeroed, seed):
+    # The norm sums one vdot per order slice of the vector, all-zero orders
+    # included; each adds +0.0, so it is the per-block sum to the bit.
+    orders, zeroed = orders_zeroed
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-150, 150, size=len(orders))
+    blocks = {
+        o: np.zeros(o + 1, complex) if o in zeroed else s * (rng.normal(size=o + 1) + 1j * rng.normal(size=o + 1))
+        for o, s in zip(orders, scales)
+    }
+    e = M.ModeExpansion({}, GEOM)._with_blocks(blocks)
+    assert e._layout.orders == tuple(sorted(orders))
+    assert list(e.blocks) == sorted(set(orders) - zeroed)
+    want = float(sum(np.vdot(block, block).real for block in e.blocks.values()))
+    assert e.norm_sq() == want and math.copysign(1.0, e.norm_sq()) == math.copysign(1.0, want)
+
+
 def lg_basis_reference(order):
     """V = diag(i^n) R, with R the eigenvectors of the real tridiagonal
     rotation generator (off-diagonals sqrt((n+1)(order-n))), diagonalised here."""

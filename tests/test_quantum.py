@@ -276,6 +276,62 @@ def test_biphoton_block_budget_admits_the_sparse_order_80_table():
     assert sum(branch.probability for branch in result.branches.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def tile_keys(b):
+    """(o1, o2) of every block the tiles of ``b`` hold, tile by tile."""
+    return [(o1, o2) for rows, cols, _ in b._tiles for o1 in rows.orders for o2 in cols.orders]
+
+
+def assert_tile_rule(b):
+    """The tiles hold each occupied block once and no other, photon-1 orders
+    that occupy the same photon-2 orders share one, and each is read-only."""
+    keys = tile_keys(b)
+    assert len(keys) == len(set(keys)) and set(keys) == {(a.order, c.order) for a, c in b.terms}
+    assert len({cols.orders for _, cols, _ in b._tiles}) == len(b._tiles)
+    assert sum(tile.size for *_, tile in b._tiles) == sum(block.size for block in b.blocks.values())
+    assert not any(tile.flags.writeable for *_, tile in b._tiles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pattern=st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_tiles_hold_exactly_the_occupied_blocks(pattern, data):
+    terms = {}
+    for o1, o2 in pattern:
+        for _ in range(data.draw(st.integers(1, 3))):
+            n1, n2 = data.draw(st.integers(0, o1)), data.draw(st.integers(0, o2))
+            terms[(n1, o1 - n1), (n2, o2 - n2)] = complex(1 + n1 + o2, o1 - n2)
+    b = Q.BiphotonExpansion(terms)
+    assert_tile_rule(b)
+    assert set(tile_keys(b)) == pattern
+    assert sum(tile.size for *_, tile in b._tiles) == sum((o1 + 1) * (o2 + 1) for o1, o2 in pattern)
+    assert dict(b.terms) == {(M.HGIndex(*a), M.HGIndex(*c)): amp for (a, c), amp in terms.items()}
+    for (a, c), amp in terms.items():
+        assert b.coeff(a, c) == amp
+    for again in (Q.BiphotonExpansion(b.terms), b._with_blocks(b.blocks)):
+        assert list(again.blocks) == list(b.blocks)
+        assert all(np.array_equal(again.blocks[key], block) for key, block in b.blocks.items())
+        assert again.norm_sq() == b.norm_sq()
+    # Pruning can empty blocks; the rest are tiled anew by the same rule.
+    tol = data.draw(st.sampled_from([0.0, 3.0, 8.0, 20.0]))
+    pruned = b.pruned(tol)
+    assert_tile_rule(pruned)
+    assert dict(pruned.terms) == {key: amp for key, amp in b.terms.items() if abs(amp) > tol}
+
+
+def test_tiles_of_the_fixed_states():
+    index = [(n, o - n) for o in range(7) for n in range(o + 1)]
+    dense = Q.BiphotonExpansion({(a, c): 1.0 for a in index for c in index})
+    assert [(rows.orders, cols.orders) for rows, cols, _ in dense._tiles] == [(tuple(range(7)),) * 2]
+    diagonal = Q.BiphotonExpansion({((o, 0), (0, o)): 1.0 for o in range(101)})
+    assert [(rows.orders, cols.orders) for rows, cols, _ in diagonal._tiles] == [((o,), (o,)) for o in range(101)]
+    hg00 = Q.spdc_hg00()
+    assert [(rows.orders, cols.orders) for rows, cols, _ in hg00._tiles] == [((0,), (0, 2)), ((1,), (1,)), ((2,), (0,))]
+    for b in (dense, diagonal, hg00):
+        assert_tile_rule(b)
+
+
 def test_biphoton_rejects_non_integer_index_and_overflow():
     with pytest.raises(ValueError, match="HG indices must be integers"):
         Q.BiphotonExpansion({((1.5, 0), (0, 0)): 1})
@@ -522,6 +578,24 @@ def test_sort_and_herald_memory_stays_near_the_block_bytes():
         tracemalloc.stop()
     assert heralded.spatial.max_order() == 40
     assert peak < 3 * given
+
+
+def test_sort_and_herald_of_one_term_per_block_to_order_60_stay_near_the_block_bytes():
+    # One term per block to order 60: 57 MB of blocks in one tile.  The sort
+    # holds W^T over the padded chunk places of both photons and the products
+    # of one pair of chunks at a time; the herald one row.
+    b = Q.BiphotonExpansion({((o1, 0), (0, o2)): 1.0 + o1 - 0.5j * o2 for o1 in range(61) for o2 in range(61)})
+    given = sum(block.nbytes for block in b.blocks.values())
+    stage = SagnacStage(0.6, 0.4)
+    Q.herald(Q.sort_biphoton(b, stage), "A", M.HGIndex(3, 4))  # caches the LG bases untraced
+    tracemalloc.start()
+    try:
+        heralded = Q.herald(Q.sort_biphoton(b, stage), "A", M.HGIndex(3, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert heralded.spatial.max_order() == 60
+    assert peak <= 2.2 * given
 
 
 def test_sort_preserves_exchange_symmetry():

@@ -22,10 +22,11 @@ to machine precision at every order, and a port's state holds its row of
 the product back as its vector.  A tree of such stages sorts OAM by
 residue, the Sagnac counterpart of the Mach-Zehnder cascade of Leach et
 al., PRL 88, 257901 (2002).  A sorting tree is immutable and keeps a level
-plan from its first route; a cascade goes down it level by level,
-multiplying each level's gathered port factors (one table of stages by OAM
-values per route) by its parents' rows, and returns each leaf's power with
-its LG amplitudes; a leaf goes back to HG only when its state is read.
+plan from its first route.  A cascade goes down it level by level over OAM
+values, not amplitudes: each level multiplies its gathered port factors by
+its parents' rows, from ones, giving each leaf's path factor at each l.  A
+leaf's power is its squared path factors times the input's OAM power
+spectrum, and a leaf goes back to HG only when its state is read.
 
 The polarization elements are Jones-matrix functions: :func:`rotation2`
 (also the Faraday rotator), :func:`retarder` (a waveplate, and on the
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +51,7 @@ from .modes import (
     ModeExpansion,
     _check_lg_index,
     _from_oam,
+    _is_integer,
     _to_oam,
     rotate_exact,  # no caller; the benchmark's tracer wraps interferometer.rotate_exact
 )
@@ -182,7 +183,7 @@ class _RoutePlan:
     """A tree's stages (Omega and e^{i phi}, stage k at factor table rows
     2k and 2k + 1 for ports A and B) and leaf labels in depth-first order,
     port A first, and per level of stages the index arrays of the products:
-    ``places`` (the rows of the level above, or of the input, that each
+    ``places`` (the rows of the level above, or the row of ones, that each
     multiplies), ``factor_rows``, and the ``leaf_rows`` at ``leaf_slots``."""
 
     omega: np.ndarray
@@ -231,7 +232,7 @@ def cascade_build(depth: int) -> CascadeNode:
     branch handling residue r applies the device phase phi = -r * psi_j so
     that its locally even class (l = r mod 2**j) exits port A.
     """
-    if not isinstance(depth, (int, np.integer)):
+    if not _is_integer(depth):
         raise ValueError(f"cascade depth must be an integer, got {depth!r}")
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth must lie between 1 and {MAX_CASCADE_DEPTH}")
@@ -257,36 +258,37 @@ def cascade_build(depth: int) -> CascadeNode:
 class LeafPower:
     """One leaf of a routed cascade: its label and share of the input power.
 
-    ``state`` is the leaf's HG expansion, built from its LG amplitudes when
-    first read and kept; it is None for an :class:`LGIndex` input.
+    ``state`` is the leaf's HG expansion, built when first read and kept
+    from the input's LG amplitudes times the leaf's path factors; it is None
+    for an :class:`LGIndex` input.
     """
 
     label: str
     power: float
-    _source: ModeExpansion | None = field(repr=False, compare=False)
-    _row: np.ndarray | None = field(repr=False, compare=False)
+    _source: tuple[ModeExpansion, np.ndarray, np.ndarray] | None = field(repr=False, compare=False)
+    _factors: np.ndarray | None = field(repr=False, compare=False)
 
     @cached_property
     def state(self) -> ModeExpansion | None:
         if self._source is None:
             return None
-        return self._source._with_vector(_from_oam(self._source._layout, self._row))
+        source, w, columns = self._source
+        return source._with_vector(_from_oam(source._layout, w * self._factors[columns]))
 
 
 def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     """Route an input through a sorting tree; returns per-leaf power fractions.
 
-    The input is taken to LG amplitudes once and goes down the tree level
-    by level, along the plan the tree keeps (:class:`_RoutePlan`): each
-    level multiplies its stages' port factors, gathered from one table of
-    stages by OAM values, by its parents' rows.  The leaf rows land in one
-    array, which the leaves view, and a leaf's power is numpy's sum of
-    re^2 + im^2 over its row.  Nothing recurses, so a deep network cannot
-    exhaust Python's recursion limit.  An :class:`LGIndex` input is the
-    single amplitude 1 at its l, so its leaves carry powers only; a
-    :class:`ModeExpansion` input's leaves go back to HG, each on the first
-    read of its ``state``.  Leaves are listed in depth-first order, port A
-    first.
+    Every stage multiplies the LG amplitude at OAM l by a port factor, so
+    leaf k passes the amplitudes at l times F[k, l], the product of the
+    factors on its path (:func:`_leaf_factors`, along the plan the tree
+    keeps; nothing recurses, so a deep network cannot exhaust Python's
+    recursion limit).  Its power is sum_l |F[k, l]|^2 q(l) over the input's
+    OAM power spectrum q: the route holds F over l = -top..top, never a
+    leaf's amplitudes.  An :class:`LGIndex` input is the single amplitude 1
+    at its l, so its leaves carry powers only; a :class:`ModeExpansion`
+    input's leaves go back to HG, each on the first read of its ``state``.
+    Leaves are listed in depth-first order, port A first.
     """
     if isinstance(input_state, LGIndex):
         labels, powers = _oam_leaf_powers(node, [_check_lg_index(input_state).l])
@@ -296,44 +298,34 @@ def cascade_route(node: CascadeNode, input_state) -> list[LeafPower]:
     total = input_state.norm_sq()
     if total == 0.0:
         raise ValueError("zero input power")
-    plan = node._plan
-    w, l = _to_oam(input_state._layout, input_state._vector), input_state._layout.l
-    rows = np.empty((len(plan.labels), len(w)), dtype=complex)
-    powers = np.empty(len(plan.labels))
-    for slots, leaves in _leaf_levels(plan, w, l):
-        rows[slots] = leaves
-        powers[slots] = _squares(leaves).sum(axis=1)
-    powers /= total
-    return [
-        LeafPower(label, power, input_state, row)
-        for label, power, row in zip(plan.labels, powers.tolist(), rows)
-    ]
+    plan, layout = node._plan, input_state._layout
+    top = int(layout.l.max(initial=0))
+    w, columns = _to_oam(layout, input_state._vector), layout.l + top
+    factors = _leaf_factors(plan, np.arange(-top, top + 1))
+    powers = _squares(factors) @ np.bincount(columns, _squares(w), 2 * top + 1) / total
+    source = (input_state, w, columns)
+    return [LeafPower(label, power, source, row) for label, power, row in zip(plan.labels, powers.tolist(), factors)]
 
 
 def _oam_leaf_powers(node: CascadeNode, ls) -> tuple[tuple[str, ...], np.ndarray]:
     """Leaf labels, and the power of the LG mode of each OAM in ``ls`` at
-    each leaf (one row per leaf, one column per l).  The modes go through
-    the tree as one amplitude vector with entry 1 for each l."""
+    each leaf (one row per leaf, one column per l)."""
     plan = node._plan
-    powers = np.empty((len(plan.labels), len(ls)))
-    for slots, leaves in _leaf_levels(plan, np.ones(len(ls), dtype=complex), np.array(ls)):
-        powers[slots] = _squares(leaves)
-    return plan.labels, powers
+    return plan.labels, _squares(_leaf_factors(plan, np.array(ls)))
 
 
-def _leaf_levels(plan: _RoutePlan, w: np.ndarray, l: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The amplitudes ``w`` (at OAM ``l``) that reach the leaves, one level
-    at a time: the leaves' slots in depth-first order, and their rows."""
-    if not plan.levels:  # the root is a leaf
-        yield [0], w[None]
-        return
+def _leaf_factors(plan: _RoutePlan, l: np.ndarray) -> np.ndarray:
+    """The product of the port factors on each leaf's path (rows, depth-first)
+    at each OAM in ``l`` (columns), multiplied level by level from ones."""
+    factors = np.ones((len(plan.labels), len(l)), dtype=complex)
     top = int(np.abs(l).max(initial=0))
     table = _port_factor_table(plan.omega, plan.phase, top).reshape(-1, 2 * top + 1)
     columns = l + top
-    products = w[None]
+    products = np.ones((1, len(l)), dtype=complex)
     for places, factor_rows, leaf_rows, leaf_slots in plan.levels:
         products = table.take(factor_rows, axis=0).take(columns, axis=1) * products.take(places, axis=0)
-        yield leaf_slots, products.take(leaf_rows, axis=0)
+        factors[leaf_slots] = products.take(leaf_rows, axis=0)
+    return factors
 
 
 def _squares(amps: np.ndarray) -> np.ndarray:

@@ -86,10 +86,15 @@ class BeamGeometry:
             raise ValueError("waist radius w0 must be positive and finite")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer_index(idx, kind: type = HGIndex):
     """``idx`` as a ``kind`` of ints, refusing a component that is not an integer."""
     a, b = kind(*idx)
-    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+    if not (_is_integer(a) and _is_integer(b)):
         raise ValueError(f"{kind.__name__.removesuffix('Index')} indices must be integers, got {(a, b)}")
     return kind(int(a), int(b))
 
@@ -299,8 +304,8 @@ class GridSpec:
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         n = self.samples_per_side
-        if n < 16 or n % 2 != 0:
-            raise ValueError("samples_per_side must be even and at least 16")
+        if not _is_integer(n) or n < 16 or n % 2 != 0:
+            raise ValueError(f"samples_per_side must be an even integer of at least 16, got {n!r}")
         if not math.isfinite(self.dx):
             raise ValueError("half_width is too large: the sample spacing is not finite")
 

@@ -110,10 +110,13 @@ class BiphotonExpansion(_Amplitudes):
         self._tiles = _tiled(by_block, put)
         self._check_norm()
         pol = dict(polarization) if polarization is not None else bell_polarization()
-        for k in pol:
+        self.polarization = {}
+        for k, v in pol.items():
             if k not in POLARIZATION_KEYS:
                 raise ValueError(f"unknown polarization component '{k}'")
-        self.polarization = {k: complex(v) for k, v in pol.items()}
+            self.polarization[k] = complex(v)
+            if not cmath.isfinite(self.polarization[k]):
+                raise ValueError(f"polarization component '{k}' must be finite, got {v}")
         self.geometry = geometry
 
     def _with_tiles(self, tiles) -> "BiphotonExpansion":

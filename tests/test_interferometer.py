@@ -491,6 +491,22 @@ def test_cascade_rejects_other_inputs():
             I.cascade_route(I.cascade_build(2), M.LGIndex(*idx))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: single(1, 0).coeff((True, 0)), "HG indices must be integers"),
+        (lambda: Q.BiphotonExpansion({((0, False), (0, 0)): 1.0}), "HG indices must be integers"),
+        (lambda: I.cascade_route(I.cascade_build(1), M.LGIndex(0, True)), "LG indices must be integers"),
+        (lambda: I.cascade_build(True), "cascade depth must be an integer"),
+        (lambda: M.GridSpec(4.0, 16.0), "samples_per_side must be an even integer"),
+    ],
+    ids=["coeff", "biphoton-term", "lg-index", "cascade-depth", "grid-samples"],
+)
+def test_a_bool_or_float_count_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_a_cascade_node_has_a_stage_and_both_children_or_none():
     leaf = I.CascadeNode("leaf")
     for args in ((I.PARITY_STAGE,), (I.PARITY_STAGE, leaf), (I.PARITY_STAGE, None, leaf), (None, leaf, leaf)):
@@ -567,6 +583,27 @@ def test_cascade_chain_route_peaks_at_three_leaf_row_units():
         tracemalloc.stop()
     assert len(leaves) == 301
     assert peak <= 3 * rows
+
+
+def test_cascade_chain_holds_path_factors_not_leaf_rows():
+    # Each of the 301 leaves holds its path factors at l = -40..40, not a row
+    # of the input's 861 LG amplitudes; the route of a tree it has not planned
+    # yet builds the factor table of both ports of the 300 stages on the way.
+    lines = [f"stage s{i} theta=0.8 phi=0.3" for i in range(300)]
+    lines += [f"route s{i}.A -> s{i + 1}" for i in range(299)]
+    text = "\n".join(lines) + "\n"
+    e = random_expansion(np.random.default_rng(14), 40)
+    I.cascade_route(I.parse_network(text), e)  # builds the cached per-order LG bases
+    root = I.parse_network(text)
+    unit = 301 * 81 * 16
+    tracemalloc.start()
+    try:
+        leaves = I.cascade_route(root, e)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) == 301
+    assert held <= 2 * unit and peak <= 10 * unit
 
 
 def test_port_factor_table_is_stages_by_oam_values():
@@ -704,14 +741,30 @@ def test_level_plan_routes_random_trees_like_the_per_node_walk(text, terms, ls):
     want = reference_cascade(root, e)
     assert [leaf.label for leaf in got] == [label for label, _, _ in want]
     assert max(abs(leaf.power - power) for leaf, (_, power, _) in zip(got, want)) <= 1e-12
-    walked = per_node_rows(root, M._to_oam(e._layout, e._vector), e._layout.l)
-    assert all(np.array_equal(leaf._row, row) for leaf, row in zip(got, walked))
+    # The path factors over l = -top..top are the per-node walk of ones.
+    oam = np.arange(-e.max_order(), e.max_order() + 1)
+    walked = per_node_rows(root, np.ones(len(oam), complex), oam)
+    assert all(np.array_equal(row, node_row) for row, node_row in zip(I._leaf_factors(root._plan, oam), walked))
     # Every l in one pass: each (leaf, l) power has the bits of a one-l route.
     labels, powers = I._oam_leaf_powers(root, ls)
     assert list(labels) == [leaf.label for leaf in got]
     for l, column in zip(ls, powers.T.tolist()):
         assert column == [leaf.power for leaf in I.cascade_route(root, M.LGIndex(0, l))]
         assert column == [np.vdot(row, row).real for row in per_node_rows(root, np.ones(1, complex), np.array([l]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=random_network(max_stages=40, max_depth=8),
+    terms=st.dictionaries(hg_indices(12), _amplitude, min_size=1, max_size=12),
+)
+def test_leaf_powers_from_the_oam_spectrum_are_the_leaf_state_powers(text, terms):
+    e = M.ModeExpansion(terms, GEOM)
+    total = e.norm_sq()
+    leaves = I.cascade_route(I.parse_network(text), e)
+    assert abs(sum(leaf.power for leaf in leaves) - 1.0) <= 1e-12
+    for leaf in leaves:
+        assert abs(leaf.power * total - leaf.state.norm_sq()) <= 1e-14 * total
 
 
 def test_a_tree_routed_twice_builds_its_plan_once(monkeypatch):

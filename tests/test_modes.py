@@ -665,10 +665,10 @@ def test_expansion_rejects_bad_index_before_allocating():
 
 
 def test_expansion_rejects_non_integer_index():
-    for idx in ((1.5, 0.9), (1.0, 0), (0, np.float64(2.0))):
+    for idx in ((1.5, 0.9), (1.0, 0), (0, np.float64(2.0)), (True, 0)):
         with pytest.raises(ValueError, match="HG indices must be integers"):
             M.ModeExpansion({idx: 1.0}, GEOM)
-    e = M.ModeExpansion({(np.int64(1), np.int32(2)): 1.0, (True, 0): 0.5}, GEOM)
+    e = M.ModeExpansion({(np.int64(1), np.int32(2)): 1.0, (1, 0): 0.5}, GEOM)
     assert dict(e.terms) == {M.HGIndex(1, 2): 1.0, M.HGIndex(1, 0): 0.5}
 
 

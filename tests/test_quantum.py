@@ -857,6 +857,12 @@ def test_pbs_split_rejects_product_polarization():
         Q.pbs_split_bell(b)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, -math.inf)])
+def test_biphoton_refuses_a_non_finite_polarization(value):
+    with pytest.raises(ValueError, match="polarization component 'HV' must be finite"):
+        Q.BiphotonExpansion({((1, 0), (1, 0)): 1.0}, polarization={"HV": value, "VH": 1.0})
+
+
 # ---------------------------------------------------------------------------
 # pipeline invariants
 # ---------------------------------------------------------------------------
